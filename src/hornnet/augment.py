@@ -7,8 +7,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datakit import Dataset, feature_bounds, normalize, _scale
-from .tensornet import Network, TrainConfig, TrainReport, build_network, forward, train
+from .datakit import Dataset, denormalize, feature_bounds, normalize, _scale
+from .tensornet import Network, TrainConfig, TrainReport, _forward_full, build_network, forward, train
 
 __all__ = [
     "SmoteConfig",
@@ -23,6 +23,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# Most float64 elements one block of SMOTE's pairwise-difference tensor may
+# hold (16 MB), so the neighbor search's memory grows linearly in the rows.
+_KNN_BLOCK_ELEMENTS = 2**21
+
 
 class AugmentError(ValueError):
     pass
@@ -34,6 +38,19 @@ def _minority_majority(data: Dataset):
         raise AugmentError(f"need exactly two classes, found {sorted(counts)}")
     (minority, n_min), (majority, n_maj) = sorted(counts.items(), key=lambda kv: (kv[1], kv[0]))
     return minority, n_min, majority, n_maj
+
+
+def _append_rows(data: Dataset, rows: np.ndarray, label: str, tag: str) -> Dataset:
+    """`data` followed by `rows`, each labeled `label` with origin `tag`;
+    untagged original rows become "real"."""
+    n = rows.shape[0]
+    origin = data.origin if data.origin is not None else np.full(data.n_rows, "real", dtype=object)
+    return replace(
+        data,
+        rows=np.vstack([data.rows, rows]),
+        labels=np.concatenate([data.labels, np.full(n, label, dtype=object)]),
+        origin=np.concatenate([origin, np.full(n, tag, dtype=object)]),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -79,10 +96,7 @@ def smote(data: Dataset, config: SmoteConfig | None = None) -> Dataset:
         )
 
     minority_rows = data.rows[data.labels == minority]
-    scaled = _scale(minority_rows, feature_bounds(data))
-    d2 = ((scaled[:, None, :] - scaled[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    neighbor_ids = np.argsort(d2, axis=1, kind="stable")[:, : config.k_neighbors]
+    neighbor_ids = _nearest_neighbors(_scale(minority_rows, feature_bounds(data)), config.k_neighbors)
 
     rng = np.random.default_rng(config.seed)
     synthetic = np.empty((n_new, data.n_features))
@@ -91,14 +105,22 @@ def smote(data: Dataset, config: SmoteConfig | None = None) -> Dataset:
         nn = int(neighbor_ids[i, int(rng.integers(config.k_neighbors))])
         lam = rng.uniform()
         synthetic[s] = minority_rows[i] + lam * (minority_rows[nn] - minority_rows[i])
+    return _append_rows(data, synthetic, minority, "smote")
 
-    origin = data.origin if data.origin is not None else np.array(["real"] * data.n_rows, dtype=object)
-    return replace(
-        data,
-        rows=np.vstack([data.rows, synthetic]),
-        labels=np.concatenate([data.labels, np.array([minority] * n_new, dtype=object)]),
-        origin=np.concatenate([origin, np.array(["smote"] * n_new, dtype=object)]),
-    )
+
+def _nearest_neighbors(points: np.ndarray, k: int) -> np.ndarray:
+    """Ids of each point's k nearest other points by squared Euclidean
+    distance, ties broken by lower id. Distances are computed for a block of
+    rows at a time, within `_KNN_BLOCK_ELEMENTS`."""
+    n, d = points.shape
+    block = max(1, _KNN_BLOCK_ELEMENTS // (n * d))
+    ids = np.empty((n, k), dtype=np.intp)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        d2 = ((points[start:stop, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        ids[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return ids
 
 
 # --------------------------------------------------------------------------
@@ -166,11 +188,8 @@ def _encode(ae: Autoencoder, rows: np.ndarray) -> np.ndarray:
 
 
 def _decode(ae: Autoencoder, latents: np.ndarray) -> np.ndarray:
-    a = latents
-    for layer in ae.network.layers[ae.bottleneck_layer + 1 :]:
-        z = a @ layer.weights.T + layer.biases
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
-    return a
+    _, acts = _forward_full(ae.network, latents, start=ae.bottleneck_layer + 1)
+    return acts[-1]
 
 
 def autoencoder_sample(ae: Autoencoder, data: Dataset, class_label: str, n: int, seed: int = 0) -> np.ndarray:
@@ -215,14 +234,5 @@ def balance_with_autoencoder(
     scaled = normalize(data)
     ae = train_autoencoder(scaled, config)
     sampled = autoencoder_sample(ae, scaled, minority, n_new, seed=seed)
-    lo = np.array([b[0] for b in scaled.normalization])
-    hi = np.array([b[1] for b in scaled.normalization])
-    raw = sampled * (hi - lo) + lo
-
-    origin = data.origin if data.origin is not None else np.array(["real"] * data.n_rows, dtype=object)
-    return replace(
-        data,
-        rows=np.vstack([data.rows, raw]),
-        labels=np.concatenate([data.labels, np.array([minority] * n_new, dtype=object)]),
-        origin=np.concatenate([origin, np.array(["autoencoder"] * n_new, dtype=object)]),
-    )
+    raw = denormalize(Dataset(data.feature_names, sampled, [minority] * n_new, scaled.normalization))
+    return _append_rows(data, raw.rows, minority, "autoencoder")

@@ -17,12 +17,11 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, augment, datakit, evalharness, explain, kbann, tensornet
-from .datakit import CLASSES, Dataset
+from .datakit import CLASSES
 from .rulelang import parse_rules, rewrite_disjuncts
 
 ENV_PREFIX = "HORNNET_"
@@ -32,6 +31,10 @@ def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
     return h.hexdigest()
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_manifest(out_dir: Path, command: str, args: dict, seed, inputs: list[Path]):
@@ -48,29 +51,43 @@ def _write_manifest(out_dir: Path, command: str, args: dict, seed, inputs: list[
     }
     outputs = sorted(p for p in out_dir.iterdir() if p.name != "manifest.json")
     manifest["outputs"] = {p.name: _sha256(p) for p in outputs if p.is_file()}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "manifest.json", manifest)
 
 
-def _resolve(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Apply config-file and environment overrides to defaulted flags."""
+class _UsageError(Exception):
+    """A bad command-line combination or flag value (exit code 2)."""
+
+
+def _resolve(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> None:
+    """Apply config-file and environment overrides to defaulted flags.
+
+    Each value passes the flag's type and choices exactly as on the command
+    line; a non-string config value is read as its JSON text.
+    """
     config = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
-    for key, default in parser_defaults.items():
-        if getattr(args, key, None) != default:
-            continue  # explicitly set on the command line
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            setattr(args, key, type(default)(env) if default is not None else env)
+        if not isinstance(config, dict):
+            raise _UsageError(f"{args.config}: config file must hold a JSON object")
+    for action in subparser._actions:
+        key, env = action.dest, ENV_PREFIX + action.dest.upper()
+        if key not in vars(args) or getattr(args, key) != action.default:
+            continue  # not a flag of this command, or explicitly set on the command line
+        if env in os.environ:
+            source, value = env, os.environ[env]
         elif key in config:
-            setattr(args, key, config[key])
-
-
-def _load_dataset(path) -> Dataset:
-    return datakit.load_csv(path)
+            source, value = args.config, config[key]
+        else:
+            continue
+        if value is not None and not isinstance(value, str):
+            value = json.dumps(value)
+        try:
+            value = subparser._get_value(action, value)
+            subparser._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            raise _UsageError(f"{exc} (from {source})") from None
+        setattr(args, key, value)
 
 
 def _positive_int(value):
@@ -80,13 +97,11 @@ def _positive_int(value):
     return n
 
 
-def _add_common(sub, *, seed=True, out=True, config=True):
+def _add_common(sub, *, seed=True):
     if seed:
         sub.add_argument("--seed", type=int, default=0, help="master seed")
-    if out:
-        sub.add_argument("--out", default=".", help="output directory")
-    if config:
-        sub.add_argument("--config", default=None, help="JSON file with flag defaults")
+    sub.add_argument("--out", default=".", help="output directory")
+    sub.add_argument("--config", default=None, help="JSON file with flag defaults")
 
 
 _SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
@@ -148,13 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # --------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommand implementations. Each writes its outputs into `out` and returns
+# the input files its manifest records; `main` makes `out` and writes the
+# manifest.
 # --------------------------------------------------------------------------
 
 
-def _cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_synth(args, out: Path) -> list[Path]:
     config = datakit.SynthConfig(
         n_rows=args.rows,
         n_test=args.test_rows,
@@ -166,20 +181,17 @@ def _cmd_synth(args) -> int:
     train, test = datakit.generate_synthetic(config)
     datakit.save_csv(train, out / "train.csv")
     datakit.save_csv(test, out / "test.csv")
-    _write_manifest(out, "synth", vars(args), args.seed, [])
     print(f"wrote {out / 'train.csv'} ({train.n_rows} rows), {out / 'test.csv'} ({test.n_rows} rows)")
-    return 0
+    return []
 
 
-def _cmd_train(args, parser) -> int:
+def _cmd_train(args, out: Path) -> list[Path]:
     model_kind = args.model or ("nsai" if args.rules else "baseline")
     if model_kind == "nsai" and not args.rules:
-        parser.error("--model nsai requires --rules")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+        raise _UsageError("--model nsai requires --rules")
     inputs = [Path(args.data)]
 
-    data = _load_dataset(args.data)
+    data = datakit.load_csv(args.data)
     if args.augment == "smote":
         data = augment.smote(data, augment.SmoteConfig(seed=args.seed))
     elif args.augment == "autoencoder":
@@ -199,83 +211,55 @@ def _cmd_train(args, parser) -> int:
             kbann.CompileConfig(omega=args.omega, seed=args.seed),
         )
     else:
-        net = tensornet.build_mlp(
-            normalized.n_features,
-            list(evalharness.BASELINE_HIDDEN),
-            2,
-            seed=args.seed,
-            input_names=list(normalized.feature_names),
-            class_names=list(CLASSES),
-        )
+        net = evalharness.build_baseline(normalized, args.seed)
     trained, report = tensornet.train(net, normalized, train_cfg)
     tensornet.save_network(trained, out / "model.npz")
-    (out / "train_report.json").write_text(
-        json.dumps(
-            {
-                "model": model_kind,
-                "augment": args.augment,
-                "effective_rows": normalized.n_rows,
-                "class_counts": normalized.class_counts(),
-                "normalization": [list(b) for b in normalized.normalization],
-                "epochs_run": report.epochs_run,
-                "best_epoch": report.best_epoch,
-                "stopped_early": report.stopped_early,
-                "final_train_loss": report.train_loss_history[-1],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    _write_json(
+        out / "train_report.json",
+        {
+            "model": model_kind,
+            "augment": args.augment,
+            "effective_rows": normalized.n_rows,
+            "class_counts": normalized.class_counts(),
+            "normalization": [list(b) for b in normalized.normalization],
+            "epochs_run": report.epochs_run,
+            "best_epoch": report.best_epoch,
+            "stopped_early": report.stopped_early,
+            "final_train_loss": report.train_loss_history[-1],
+        },
     )
-    _write_manifest(out, "train", vars(args), args.seed, inputs)
     print(f"trained {model_kind} model on {normalized.n_rows} rows -> {out / 'model.npz'}")
-    return 0
+    return inputs
 
 
-def _cmd_evaluate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_evaluate(args, out: Path) -> list[Path]:
     net = tensornet.load_network(args.model_path)
     # model files store no bounds; data is scaled with its own observed
     # bounds, matching the training-side convention
-    data = datakit.normalize(_load_dataset(args.data))
+    data = datakit.normalize(datakit.load_csv(args.data))
     preds = tensornet.predict_labels(net, data.rows).astype(str)
     metrics = evalharness.compute_metrics(preds, data.labels.astype(str), CLASSES)
-    (out / "metrics.json").write_text(
-        json.dumps(evalharness.metrics_to_dict(metrics), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out / "metrics.json", evalharness.metrics_to_dict(metrics))
     table = evalharness.render_metrics_table({"model": metrics})
     (out / "metrics.txt").write_text(table, encoding="utf-8")
-    _write_manifest(out, "evaluate", vars(args), None, [Path(args.model_path), Path(args.data)])
     print(table, end="")
-    return 0
+    return [Path(args.model_path), Path(args.data)]
 
 
-def _cmd_explain(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_explain(args, out: Path) -> list[Path]:
     net = tensornet.load_network(args.model_path)
-    data = datakit.normalize(_load_dataset(args.data))
+    data = datakit.normalize(datakit.load_csv(args.data))
 
-    def predict_fn(x):
-        return np.atleast_2d(tensornet.predict_proba(net, x))
-
+    predict_fn = partial(tensornet.predict_proba, net)
     global_exp = explain.global_explain(predict_fn, data, n_samples=args.samples, seed=args.seed)
     records = explain.misprediction_report(predict_fn, data, n_samples=args.samples, seed=args.seed)
-    (out / "global_explanation.json").write_text(
-        json.dumps(
-            {
-                "mean_signed": global_exp.mean_signed,
-                "mean_abs": global_exp.mean_abs,
-                "n_instances": global_exp.n_instances,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    _write_json(
+        out / "global_explanation.json",
+        {
+            "mean_signed": global_exp.mean_signed,
+            "mean_abs": global_exp.mean_abs,
+            "n_instances": global_exp.n_instances,
+        },
     )
     (out / "mispredictions.txt").write_text(
         explain.format_misprediction_table(records), encoding="utf-8"
@@ -291,50 +275,43 @@ def _cmd_explain(args) -> int:
         }
         for rec in records
     ]
-    (out / "mispredictions.json").write_text(
-        json.dumps(structured, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _write_manifest(out, "explain", vars(args), args.seed, [Path(args.model_path), Path(args.data)])
+    _write_json(out / "mispredictions.json", structured)
     print(f"{len(records)} mispredicted rows explained -> {out}")
-    return 0
+    return [Path(args.model_path), Path(args.data)]
 
 
-def _cmd_extract(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_extract(args, out: Path) -> list[Path]:
     net = tensornet.load_network(args.model_path)
-    if not net.has_knowledge_links():
-        raise ValueError(
-            "model has no knowledge links to extract rules from; "
-            "use `hornnet explain` for plain models"
-        )
-    data = datakit.normalize(_load_dataset(args.data))
+    data = datakit.normalize(datakit.load_csv(args.data))
     extracted = kbann.extract_rules(net, data, group_tolerance=args.tolerance)
     text = kbann.format_extracted_rules(extracted)
     (out / "rules.txt").write_text(text, encoding="utf-8")
-    kbann.save_extracted_rules(extracted, out / "rules.json")
-    _write_manifest(out, "extract", vars(args), None, [Path(args.model_path), Path(args.data)])
+    _write_json(out / "rules.json", kbann.extracted_rules_to_dict(extracted))
     print(text, end="")
-    return 0
+    return [Path(args.model_path), Path(args.data)]
 
 
-def _cmd_compare(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    train_data = _load_dataset(args.train_path)
-    test_data = _load_dataset(args.test_path)
+def _cmd_compare(args, out: Path) -> list[Path]:
+    train_data = datakit.load_csv(args.train_path)
+    test_data = datakit.load_csv(args.test_path)
     rules = parse_rules(Path(args.rules).read_text(encoding="utf-8"))
     report = evalharness.run_comparison(
         train_data, test_data, rules, master_seed=args.seed, cv_folds=args.cv_folds
     )
     (out / "report.json").write_text(evalharness.report_to_json(report), encoding="utf-8")
     (out / "report.txt").write_text(evalharness.render_report_text(report), encoding="utf-8")
-    _write_manifest(
-        out, "compare", vars(args), args.seed,
-        [Path(args.train_path), Path(args.test_path), Path(args.rules)],
-    )
     print(evalharness.render_metrics_table(report.test_metrics), end="")
-    return 0
+    return [Path(args.train_path), Path(args.test_path), Path(args.rules)]
+
+
+_COMMANDS = {
+    "synth": _cmd_synth,
+    "train": _cmd_train,
+    "evaluate": _cmd_evaluate,
+    "explain": _cmd_explain,
+    "extract": _cmd_extract,
+    "compare": _cmd_compare,
+}
 
 
 def main(argv=None) -> int:
@@ -344,25 +321,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    subparser = _SUBPARSERS[args.command]
-    defaults = {key: subparser.get_default(key) for key in vars(args) if key != "command"}
     try:
-        _resolve(args, defaults)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "train":
-            return _cmd_train(args, parser)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "explain":
-            return _cmd_explain(args)
-        if args.command == "extract":
-            return _cmd_extract(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        parser.error(f"unknown command {args.command!r}")
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        _resolve(args, _SUBPARSERS[args.command])
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        inputs = _COMMANDS[args.command](args, out)
+        # evaluate and extract take no --seed; their manifests record None
+        _write_manifest(out, args.command, vars(args), getattr(args, "seed", None), inputs)
+    except _UsageError as exc:
+        print(f"hornnet: error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"hornnet: error: {exc}", file=sys.stderr)
         return 1

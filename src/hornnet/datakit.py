@@ -177,12 +177,13 @@ def denormalize(data: Dataset) -> Dataset:
 
 def one_hot(labels, classes) -> np.ndarray:
     classes = list(classes)
-    out = np.zeros((len(labels), len(classes)))
-    for i, lab in enumerate(labels):
-        try:
-            out[i, classes.index(str(lab))] = 1.0
-        except ValueError:
-            raise DataError(f"label {lab!r} not in classes {classes}") from None
+    labels = np.asarray(labels, dtype=object)
+    hits = labels.astype(str)[:, None] == np.asarray(classes)[None, :]
+    known = hits.any(axis=1)
+    if not known.all():
+        raise DataError(f"label {labels[np.argmin(known)]!r} not in classes {classes}")
+    out = np.zeros(hits.shape)
+    out[np.arange(len(labels)), hits.argmax(axis=1)] = 1.0
     return out
 
 
@@ -285,18 +286,21 @@ def _class_indices(labels) -> dict[str, np.ndarray]:
     return {str(c): np.flatnonzero(labels == c) for c in sorted(set(labels.astype(str)))}
 
 
+def _stratified_mask(labels, fraction: float, rng) -> np.ndarray:
+    """Mask of round(fraction * class size) seeded picks from each class,
+    classes taken in sorted order."""
+    mask = np.zeros(len(labels), dtype=bool)
+    for idx in _class_indices(labels).values():
+        idx = rng.permutation(idx)
+        mask[idx[: int(round(len(idx) * fraction))]] = True
+    return mask
+
+
 def train_test_split(data: Dataset, test_fraction: float = 0.2, seed: int = 0):
     """Stratified split; returns (train, test)."""
     if not 0 < test_fraction < 1:
         raise DataError("test_fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    test_idx = []
-    for _, idx in _class_indices(data.labels).items():
-        idx = rng.permutation(idx)
-        n_test = int(round(len(idx) * test_fraction))
-        test_idx.extend(idx[:n_test].tolist())
-    mask = np.zeros(data.n_rows, dtype=bool)
-    mask[test_idx] = True
+    mask = _stratified_mask(data.labels, test_fraction, np.random.default_rng(seed))
     return subset(data, np.flatnonzero(~mask)), subset(data, np.flatnonzero(mask))
 
 
@@ -375,7 +379,7 @@ class SynthConfig:
 
 def point_biserial(values: np.ndarray, labels) -> float:
     """Pearson correlation between a numeric column and labels encoded Low=0/High=1."""
-    y = np.asarray([1.0 if str(l) == POSITIVE_CLASS else 0.0 for l in labels])
+    y = (np.asarray(labels, dtype=object).astype(str) == POSITIVE_CLASS).astype(np.float64)
     x = np.asarray(values, dtype=float)
     if x.std() == 0 or y.std() == 0:
         return 0.0
@@ -430,7 +434,7 @@ def _mastery_probs(weight: float) -> tuple[float, float]:
 
 def _generate_split(n, spurious_r, config: SynthConfig, rng) -> Dataset:
     labels = _exact_labels(n, config.class_ratio, rng)
-    y01 = np.array([1.0 if l == POSITIVE_CLASS else 0.0 for l in labels])
+    y01 = (labels == POSITIVE_CLASS).astype(np.float64)
     feature_names = tuple(config.feature_stats)
     columns = {}
 

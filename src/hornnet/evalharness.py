@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +20,7 @@ __all__ = [
     "ExperimentReport",
     "compute_metrics",
     "correlation_table",
+    "build_baseline",
     "run_comparison",
     "render_metrics_table",
     "render_correlation_table",
@@ -52,15 +54,17 @@ def compute_metrics(predictions, truth, classes=None) -> Metrics:
         raise ValueError("predictions and truth must be equal-length vectors")
     if predictions.shape[0] == 0:
         raise ValueError("need at least one prediction")
+    # one dict lookup per distinct label, then one count over (truth, prediction) codes
+    names, inverse = np.unique(np.concatenate([truth, predictions]).astype(str), return_inverse=True)
+    names = names.tolist()
     if classes is None:
-        observed = {str(v) for v in predictions} | {str(v) for v in truth}
-        classes = CLASSES if observed <= set(CLASSES) else tuple(sorted(observed))
+        classes = CLASSES if set(names) <= set(CLASSES) else tuple(names)
     classes = tuple(classes)
     index = {c: i for i, c in enumerate(classes)}
-
-    confusion = np.zeros((len(classes), len(classes)), dtype=int)
-    for t, p in zip(truth, predictions):
-        confusion[index[str(t)], index[str(p)]] += 1
+    codes = np.array([index[name] for name in names], dtype=int)[inverse]
+    k = len(classes)
+    n = truth.shape[0]
+    confusion = np.bincount(codes[:n] * k + codes[n:], minlength=k * k).reshape(k, k)
 
     accuracy = float(np.trace(confusion) / confusion.sum())
     recall = {}
@@ -122,27 +126,30 @@ class ExperimentReport:
     train_reports: dict[str, tensornet.TrainReport]
 
 
-def _train_classifier(source: Dataset, seed: int, train_config):
-    net = tensornet.build_mlp(
-        source.n_features,
+def build_baseline(data: Dataset, seed: int) -> tensornet.Network:
+    """The plain classifier over `data`'s features: ReLU layers of
+    `BASELINE_HIDDEN` widths, then a softmax over `CLASSES`."""
+    return tensornet.build_mlp(
+        data.n_features,
         list(BASELINE_HIDDEN),
         2,
         seed=seed,
-        input_names=list(source.feature_names),
+        input_names=list(data.feature_names),
         class_names=list(CLASSES),
     )
+
+
+def _fit(builder, source: Dataset, seed: int, train_config):
+    """Build a net with `seed` and train it on `source` with the same seed."""
     cfg = replace(train_config, seed=seed, loss="cross_entropy")
-    trained, report = tensornet.train(net, source, cfg)
-    return trained, report
+    return tensornet.train(builder(seed), source, cfg)
 
 
 def _cross_validate(source: Dataset, k: int, seed: int, train_config, builder) -> tuple[float, float]:
     scores = []
     for fold, (train_idx, val_idx) in enumerate(datakit.kfold_split(source, k, seed)):
         fold_seed = derive_seed(seed, f"fold{fold}")
-        net = builder(fold_seed)
-        cfg = replace(train_config, seed=fold_seed, loss="cross_entropy")
-        trained, _ = tensornet.train(net, datakit.subset(source, train_idx), cfg)
+        trained, _ = _fit(builder, datakit.subset(source, train_idx), fold_seed, train_config)
         val = datakit.subset(source, val_idx)
         preds = tensornet.predict_labels(trained, val.rows).astype(str)
         scores.append(float((preds == val.labels.astype(str)).mean()))
@@ -196,16 +203,15 @@ def run_comparison(
     }
     test_n = datakit.apply_normalization(test_data, bounds)
 
+    builders = {
+        name: compiled_net if name == "nsai" else partial(build_baseline, sources[name])
+        for name in MODEL_NAMES
+    }
     models: dict[str, tensornet.Network] = {}
     train_reports: dict[str, tensornet.TrainReport] = {}
     for name in MODEL_NAMES:
         seed = derive_seed(master_seed, name)
-        if name == "nsai":
-            net = compiled_net(seed)
-            cfg = replace(train_config, seed=seed, loss="cross_entropy")
-            models[name], train_reports[name] = tensornet.train(net, sources[name], cfg)
-        else:
-            models[name], train_reports[name] = _train_classifier(sources[name], seed, train_config)
+        models[name], train_reports[name] = _fit(builders[name], sources[name], seed, train_config)
 
     truth = test_n.labels.astype(str)
     test_metrics = {}
@@ -221,23 +227,12 @@ def run_comparison(
             seed=derive_seed(master_seed, f"perm-{name}"),
         )
 
-    cv_accuracy = {}
-    for name in MODEL_NAMES:
-        seed = derive_seed(master_seed, f"cv-{name}")
-        if name == "nsai":
-            builder = compiled_net
-        else:
-            def builder(s, _src=sources[name]):
-                return tensornet.build_mlp(
-                    _src.n_features,
-                    list(BASELINE_HIDDEN),
-                    2,
-                    seed=s,
-                    input_names=list(_src.feature_names),
-                    class_names=list(CLASSES),
-                )
-
-        cv_accuracy[name] = _cross_validate(sources[name], cv_folds, seed, train_config, builder)
+    cv_accuracy = {
+        name: _cross_validate(
+            sources[name], cv_folds, derive_seed(master_seed, f"cv-{name}"), train_config, builders[name]
+        )
+        for name in MODEL_NAMES
+    }
 
     correlations, flags = correlation_table(
         [

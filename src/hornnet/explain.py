@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datakit import CLASSES, Dataset
+from .datakit import CLASSES, Dataset, one_hot
 
 __all__ = [
     "FeatureStats",
@@ -135,8 +135,20 @@ def lime_explain(
     )
 
 
-def _instance_seed(seed, instance_id):
-    return np.random.SeedSequence((int(seed), int(instance_id)))
+def _explain_row(predict_fn, data: Dataset, i, stats, n_samples, kernel_width, seed, class_names=CLASSES):
+    """`lime_explain` of row i, seeded from (seed, i) so that results do not
+    depend on evaluation order."""
+    return lime_explain(
+        predict_fn,
+        data.rows[i],
+        stats,
+        n_samples=n_samples,
+        kernel_width=kernel_width,
+        seed=np.random.SeedSequence((int(seed), int(i))),
+        instance_id=int(i),
+        true_label=str(data.labels[i]),
+        class_names=class_names,
+    )
 
 
 def global_explain(
@@ -155,16 +167,7 @@ def global_explain(
     magnitude = np.zeros(data.n_features)
     index = {name: i for i, name in enumerate(stats.names)}
     for i in range(data.n_rows):
-        exp = lime_explain(
-            predict_fn,
-            data.rows[i],
-            stats,
-            n_samples=n_samples,
-            kernel_width=kernel_width,
-            seed=_instance_seed(seed, i),
-            instance_id=i,
-            true_label=str(data.labels[i]),
-        )
+        exp = _explain_row(predict_fn, data, i, stats, n_samples, kernel_width, seed)
         for name, _value, imp in exp.contributions:
             signed[index[name]] += imp
             magnitude[index[name]] += abs(imp)
@@ -195,20 +198,10 @@ def misprediction_report(
     stats = FeatureStats.from_dataset(data)
     probs = np.asarray(predict_fn(data.rows), dtype=np.float64)
     predicted = probs.argmax(axis=1)
-    truth = np.array([list(class_names).index(str(l)) for l in data.labels])
+    truth = one_hot(data.labels, class_names).argmax(axis=1)
     records = []
     for i in np.flatnonzero(predicted != truth):
-        exp = lime_explain(
-            predict_fn,
-            data.rows[i],
-            stats,
-            n_samples=n_samples,
-            kernel_width=kernel_width,
-            seed=_instance_seed(seed, i),
-            instance_id=int(i),
-            true_label=str(data.labels[i]),
-            class_names=class_names,
-        )
+        exp = _explain_row(predict_fn, data, i, stats, n_samples, kernel_width, seed, class_names)
         # importances explain the positive-class probability
         wants_positive = exp.predicted == class_names[1]
         supporting = [c for c in exp.contributions if (c[2] > 0) == wants_positive and c[2] != 0]

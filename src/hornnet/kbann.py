@@ -21,7 +21,6 @@ single root drives a two-unit softmax head (negative class, positive class).
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .datakit import Dataset
 from .rulelang import RuleSet, evaluate_boolean
-from .tensornet import Layer, Network, forward, predict_labels
+from .tensornet import Layer, Network, _sigmoid, forward, predict_labels
 
 __all__ = [
     "CompileConfig",
@@ -71,13 +70,6 @@ class CompileConfig:
             raise CompileError("extra_hidden_per_level must be >= 0")
         if self.knowledge_activation != "sigmoid":
             raise CompileError("only sigmoid knowledge units are supported")
-
-
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    ez = np.exp(z)
-    return ez / (1.0 + ez)
 
 
 @dataclass
@@ -153,7 +145,7 @@ def _conjunction_band(omega, parts_bands) -> _Band:
         )
         + base
     )
-    return _Band(_sigmoid(t_pre_lo), _sigmoid(t_pre_hi), _sigmoid(f_pre_lo), _sigmoid(f_pre_hi))
+    return _Band(*_sigmoid(np.array([t_pre_lo, t_pre_hi, f_pre_lo, f_pre_hi])))
 
 
 def _disjunction_band(omega, parts_bands) -> _Band:
@@ -163,7 +155,7 @@ def _disjunction_band(omega, parts_bands) -> _Band:
     t_pre_hi = omega * (sum(1.0 + s for s in slacks_true) - 0.5)
     f_pre_hi = omega * (0.0 - 0.5)
     f_pre_lo = omega * (-sum(slacks_false) - 0.5)
-    return _Band(_sigmoid(t_pre_lo), _sigmoid(t_pre_hi), _sigmoid(f_pre_lo), _sigmoid(f_pre_hi))
+    return _Band(*_sigmoid(np.array([t_pre_lo, t_pre_hi, f_pre_lo, f_pre_hi])))
 
 
 def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig | None = None) -> Network:
@@ -359,30 +351,17 @@ def verify_compiled_logic(
     n = len(inputs)
     feature_index = {name: i for i, name in enumerate(net.input_names)}
 
-    combos = np.array(
-        [[(row >> bit) & 1 for bit in range(n)] for row in range(2**n)], dtype=np.float64
-    )
+    combos = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
     x = np.zeros((2**n, len(net.input_names)))
-    for j, name in enumerate(inputs):
-        x[:, feature_index[name]] = combos[:, j]
-    activations = forward(net, x)
-
-    for row in range(2**n):
-        assignment = {name: bool(combos[row, j]) for j, name in enumerate(inputs)}
-        truth = evaluate_boolean(rules, assignment)
-        truth.update(assignment)
-        for layer_acts, labels in zip(activations, net.unit_labels):
-            for col, label in enumerate(labels):
-                symbol = unit_symbol(label)
-                if symbol not in truth:
-                    continue
-                value = layer_acts[row, col]
-                if truth[symbol]:
-                    if not value > activation_high:
-                        return False
-                elif not value < activation_low:
-                    return False
-    return True
+    x[:, [feature_index[name] for name in inputs]] = combos
+    # truth of every symbol under every assignment: the inputs plus the oracle's heads
+    assignments = [dict(zip(inputs, row)) for row in combos.tolist()]
+    truth = [{**a, **evaluate_boolean(rules, a)} for a in assignments]
+    symbols = [unit_symbol(label) for labels in net.unit_labels for label in labels]
+    cols = [c for c, symbol in enumerate(symbols) if symbol in truth[0]]
+    want = np.array([[t[symbols[c]] for c in cols] for t in truth], dtype=bool).reshape(2**n, len(cols))
+    got = np.hstack(forward(net, x))[:, cols]
+    return bool(np.all(np.where(want, got > activation_high, got < activation_low)))
 
 
 # --------------------------------------------------------------------------
@@ -446,41 +425,31 @@ def extract_rules(net: Network, train_data: Dataset, group_tolerance: float = 0.
     if train_data.n_rows == 0:
         raise ValueError("fidelity is undefined on an empty training set")
 
+    # Each layer's rules, then their replay: layer 0 sees the (normalized)
+    # features, deeper layers the 0/1 firing pattern below. grouped[u, j] is
+    # the mean weight of the group that source j falls in, so a unit's margin
+    # is its grouped weighted sum minus its threshold; the final class is the
+    # output unit with the best margin.
     rules = []
+    values = train_data.rows
     for li, layer in enumerate(net.layers):
         sources = net.input_names if li == 0 else net.unit_labels[li - 1]
+        grouped = np.empty_like(layer.weights)
         for u in range(layer.out_units):
-            terms = _group_weights(layer.weights[u], list(sources), group_tolerance)
+            index_terms = _group_weights(layer.weights[u], range(layer.in_units), group_tolerance)
+            for weight, cols in index_terms:
+                grouped[u, cols] = weight
             rules.append(
                 ExtractedRule(
                     head=net.unit_labels[li][u],
                     threshold=float(-layer.biases[u]),
-                    terms=terms,
+                    terms=[(weight, [sources[c] for c in cols]) for weight, cols in index_terms],
                 )
             )
+        margins = values @ grouped.T + layer.biases
+        values = (margins > 0).astype(np.float64)
 
-    # Replay: layer 0 sees the (normalized) features, deeper layers the 0/1
-    # firing pattern below; final class is the output unit with the best margin.
-    values = train_data.rows
-    rule_iter = iter(rules)
-    margins = None
-    for li, layer in enumerate(net.layers):
-        fired = np.zeros((values.shape[0], layer.out_units))
-        layer_margins = np.zeros_like(fired)
-        for u in range(layer.out_units):
-            rule = next(rule_iter)
-            sources = net.input_names if li == 0 else net.unit_labels[li - 1]
-            source_pos = {name: i for i, name in enumerate(sources)}
-            pre = np.zeros(values.shape[0])
-            for weight, members in rule.terms:
-                cols = [source_pos[m] for m in members]
-                pre += weight * values[:, cols].sum(axis=1)
-            layer_margins[:, u] = pre - rule.threshold
-            fired[:, u] = (layer_margins[:, u] > 0).astype(np.float64)
-        values = fired
-        margins = layer_margins
-
-    rule_classes = np.array([net.output_names[i] for i in margins.argmax(axis=1)], dtype=object)
+    rule_classes = np.asarray(net.output_names, dtype=object)[margins.argmax(axis=1)]
     net_classes = predict_labels(net, train_data.rows)
     fidelity = float((rule_classes == net_classes).mean())
     return ExtractedRuleSet(rules=rules, fidelity=fidelity)
@@ -513,12 +482,6 @@ def extracted_rules_to_dict(extracted: ExtractedRuleSet) -> dict:
             for rule in extracted.rules
         ],
     }
-
-
-def save_extracted_rules(extracted: ExtractedRuleSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(extracted_rules_to_dict(extracted), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # --------------------------------------------------------------------------

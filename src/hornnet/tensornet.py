@@ -13,11 +13,12 @@ from __future__ import annotations
 import io
 import json
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datakit import Dataset, one_hot
+from .datakit import Dataset, _stratified_mask, one_hot
 
 __all__ = [
     "Layer",
@@ -213,10 +214,12 @@ def build_mlp(input_dim, hidden, output_dim, seed, input_names=None, class_names
 # --------------------------------------------------------------------------
 
 
-def _forward_full(net: Network, x: np.ndarray):
+def _forward_full(net: Network, x: np.ndarray, start: int = 0):
+    """Pre-activations and activations of layers `start` onward; `x` is the
+    input to layer `start`."""
     zs, acts = [], []
     a = x
-    for layer in net.layers:
+    for layer in net.layers[start:]:
         z = a @ layer.weights.T + layer.biases
         a = _activate(z, layer.activation)
         zs.append(z)
@@ -241,8 +244,7 @@ def predict_proba(net: Network, x) -> np.ndarray:
 
 def predict_labels(net: Network, x) -> np.ndarray:
     probs = np.atleast_2d(predict_proba(net, x))
-    idx = probs.argmax(axis=1)
-    return np.array([net.output_names[i] for i in idx], dtype=object)
+    return np.asarray(net.output_names, dtype=object)[probs.argmax(axis=1)]
 
 
 def _data_loss(z_out, a_out, targets, loss):
@@ -394,16 +396,9 @@ def validation_split(n, fraction, seed, labels=None):
     if labels is None:
         perm = rng.permutation(n)
         return np.sort(perm[n_val:]), np.sort(perm[:n_val])
-    labels = np.asarray(labels, dtype=object)
-    val = []
-    for c in sorted(set(labels.astype(str))):
-        idx = rng.permutation(np.flatnonzero(labels == c))
-        val.extend(idx[: int(round(len(idx) * fraction))].tolist())
-    if not val:
-        perm = rng.permutation(n)
-        val = perm[:n_val].tolist()
-    mask = np.zeros(n, dtype=bool)
-    mask[val] = True
+    mask = _stratified_mask(labels, fraction, rng)
+    if not mask.any():
+        mask[rng.permutation(n)[:n_val]] = True
     return np.flatnonzero(~mask), np.flatnonzero(mask)
 
 
@@ -635,16 +630,21 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    with zipfile.ZipFile(path) as zf:
-        meta = json.loads(zf.read("meta.json"))
-        if meta.get("format") != "hornnet-network":
-            raise ValueError(f"{path} is not a hornnet model file")
+    """Read a model file; any unreadable or malformed file is a ValueError
+    naming the path."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            meta = json.loads(zf.read("meta.json"))
+            if meta.get("format") != "hornnet-network":
+                raise ValueError("not a hornnet model file")
 
-        def arr(name):
-            return np.lib.format.read_array(io.BytesIO(zf.read(f"{name}.npy")), allow_pickle=False)
+            def arr(name):
+                return np.lib.format.read_array(io.BytesIO(zf.read(f"{name}.npy")), allow_pickle=False)
 
-        layers = [
-            Layer(arr(f"w{i}"), arr(f"b{i}"), meta["activations"][i], arr(f"frozen{i}"), arr(f"knowledge{i}"))
-            for i in range(meta["n_layers"])
-        ]
-    return Network(layers, meta["unit_labels"], meta["input_names"], meta["output_names"])
+            layers = [
+                Layer(arr(f"w{i}"), arr(f"b{i}"), meta["activations"][i], arr(f"frozen{i}"), arr(f"knowledge{i}"))
+                for i in range(meta["n_layers"])
+            ]
+        return Network(layers, meta["unit_labels"], meta["input_names"], meta["output_names"])
+    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{path}: unreadable model file: {exc}") from None

@@ -1,8 +1,10 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hornnet import augment
 from hornnet.augment import (
     AugmentError,
     AutoencoderConfig,
@@ -122,6 +124,47 @@ class TestSmote:
         assert lam.min() >= 0.0 and lam.max() <= 1.0
 
 
+class TestSmoteNeighborBlocks:
+    """The k-NN search works a block of rows at a time; ids must equal the
+    all-pairs search, ties broken by lower id."""
+
+    @staticmethod
+    def quadratic_neighbors(points, k):
+        d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+    def test_blocks_match_all_pairs_reference(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        # coarse grid values make many exact distance ties
+        points = rng.integers(0, 4, (301, 4)).astype(np.float64) / 3.0
+        monkeypatch.setattr(augment, "_KNN_BLOCK_ELEMENTS", 40 * 301 * 4)  # 8 blocks, last partial
+        ids = augment._nearest_neighbors(points, 5)
+        assert np.array_equal(ids, self.quadratic_neighbors(points, 5))
+
+    def test_smote_output_independent_of_block_size(self, monkeypatch):
+        train, _ = generate_synthetic(SynthConfig(seed=3))
+        whole = smote(train, SmoteConfig(seed=3))  # one block at this size
+        monkeypatch.setattr(augment, "_KNN_BLOCK_ELEMENTS", 7 * 9 * 63)  # 7 rows per block
+        blocked = smote(train, SmoteConfig(seed=3))
+        assert np.array_equal(whole.rows, blocked.rows)
+        assert list(whole.origin) == list(blocked.origin)
+
+    def test_peak_memory_bounded_by_block_budget(self):
+        rng = np.random.default_rng(13)
+        n_min, n_maj, d = 1200, 1300, 4  # all-pairs differences alone: 46 MB
+        rows = rng.uniform(0, 1, (n_min + n_maj, d))
+        labels = np.array(["High"] * n_maj + ["Low"] * n_min, dtype=object)
+        data = Dataset(tuple(f"f{i}" for i in range(d)), rows, labels)
+        tracemalloc.start()
+        try:
+            smote(data, SmoteConfig(seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * augment._KNN_BLOCK_ELEMENTS * 8  # 32 MB
+
+
 class TestAutoencoder:
     def test_default_widths_for_nine_features(self):
         rng = np.random.default_rng(0)
@@ -171,6 +214,19 @@ class TestAutoencoder:
         a = train_autoencoder(data, cfg)
         b = train_autoencoder(data, cfg)
         assert a.report.train_loss_history == b.report.train_loss_history
+
+    def test_decode_of_encode_is_the_forward_pass(self):
+        rng = np.random.default_rng(14)
+        data = Dataset(
+            ("a", "b", "c", "d"), rng.uniform(0, 1, (40, 4)),
+            np.array(["High"] * 25 + ["Low"] * 15, dtype=object),
+        )
+        cfg = AutoencoderConfig(
+            encoder_widths=(3, 2), decoder_widths=(3,), train=TrainConfig(seed=14, max_epochs=5)
+        )
+        ae = train_autoencoder(data, cfg)
+        decoded = augment._decode(ae, augment._encode(ae, data.rows))
+        assert np.array_equal(decoded, forward(ae.network, data.rows)[-1])
 
     def test_noise_scale_zero_collapses_to_mean_decode(self):
         rng = np.random.default_rng(4)

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hornnet import datakit, evalharness, tensornet
 from hornnet.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "tiny_players.csv"
@@ -88,6 +91,28 @@ class TestTrain:
             "--model", "nsai", "--out", str(tmp_path / "m"),
         ])
         assert code == 2
+
+    def test_baseline_is_the_shared_builder_trained(self, tmp_path, synth_dir):
+        out = tmp_path / "model"
+        argv = ["train", "--data", str(synth_dir / "train.csv"), "--seed", "7", "--max-epochs", "4"]
+        assert main(argv + ["--out", str(out)]) == 0
+        saved = tensornet.load_network(out / "model.npz")
+        data = datakit.normalize(datakit.load_csv(synth_dir / "train.csv"))
+        expected, _ = tensornet.train(
+            evalharness.build_baseline(data, 7), data, tensornet.TrainConfig(seed=7, max_epochs=4)
+        )
+        for got, want in zip(saved.layers, expected.layers):
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.biases, want.biases)
+
+    def test_baseline_manifest_leaves_unused_rules_out(self, tmp_path, synth_dir, rules_file):
+        out = tmp_path / "model"
+        argv = ["train", "--data", str(synth_dir / "train.csv"), "--model", "baseline",
+                "--rules", str(rules_file), "--max-epochs", "2", "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["inputs"]) == [str(synth_dir / "train.csv")]
+        assert manifest["args"]["rules"] == str(rules_file)
 
     def test_manifest_rerun_reproduces_outputs(self, tmp_path, synth_dir, rules_file):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -186,3 +211,52 @@ class TestFlagResolution:
         code = main(["evaluate", "--model", str(tmp_path / "missing.npz"), "--data", str(FIXTURE), "--out", str(tmp_path)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, env, config",
+        [
+            (["synth"], {}, {"rows": "abc"}),
+            (["synth"], {}, {"rows": 0}),
+            (["synth"], {}, {"rows": 72.5}),
+            (["synth"], {}, ["not", "an", "object"]),
+            (["synth"], {"HORNNET_SEED": "abc"}, None),
+            (["synth"], {"HORNNET_ROWS": "0"}, None),
+            (["train", "--data", str(FIXTURE)], {"HORNNET_AUGMENT": "bogus"}, None),
+            (["train", "--data", str(FIXTURE)], {}, {"augment": "smotee"}),
+            (["train", "--data", str(FIXTURE)], {"HORNNET_MODEL": "bogus"}, None),
+            (["train", "--data", str(FIXTURE), "--model", "nsai"], {}, None),
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv, env, config):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        extra = []
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            extra = ["--config", str(cfg)]
+        assert main(argv + extra + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hornnet: error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("damage", ["not_zip", "truncated", "member_missing"])
+    def test_bad_model_file_is_runtime_error(self, tmp_path, capsys, damage):
+        good = tmp_path / "good"
+        assert main(["train", "--data", str(FIXTURE), "--max-epochs", "2", "--out", str(good)]) == 0
+        raw = (good / "model.npz").read_bytes()
+        bad = tmp_path / "bad.npz"
+        if damage == "not_zip":
+            bad.write_text("not a model\n")
+        elif damage == "truncated":
+            bad.write_bytes(raw[: len(raw) // 2])
+        else:
+            with zipfile.ZipFile(good / "model.npz") as src, zipfile.ZipFile(bad, "w") as dst:
+                for info in src.infolist():
+                    if info.filename != "w1.npy":
+                        dst.writestr(info, src.read(info.filename))
+        capsys.readouterr()
+        code = main(["evaluate", "--model", str(bad), "--data", str(FIXTURE), "--out", str(tmp_path / "e")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"hornnet: error: {bad}: ") and err.count("\n") == 1

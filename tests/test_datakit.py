@@ -216,6 +216,10 @@ class TestHelpers:
         with pytest.raises(DataError):
             one_hot(["Medium"], ("Low", "High"))
 
+    def test_one_hot_names_first_unknown_label(self):
+        with pytest.raises(DataError, match="label 'Medium' not in classes"):
+            one_hot(["Low", "Medium", "Tall", "High"], ("Low", "High"))
+
     def test_subset_keeps_origin(self):
         data = Dataset(
             ("x",),

@@ -16,7 +16,7 @@ from hornnet.kbann import (
     _group_weights,
 )
 from hornnet.rulelang import RuleSet, parse_rules, random_ruleset, rewrite_disjuncts
-from hornnet.tensornet import Layer, Network, TrainConfig, forward, train
+from hornnet.tensornet import Layer, Network, TrainConfig, forward, predict_labels, train
 
 EXACT = CompileConfig(omega=4.0, perturb_scale=0.0, extra_hidden_per_level=0)
 
@@ -231,6 +231,61 @@ class TestExtraction:
         empty = Dataset(game_features, np.zeros((0, 9)), np.array([], dtype=object))
         with pytest.raises(ValueError, match="empty"):
             extract_rules(net, empty)
+
+
+def loop_replay_classes(net, extracted, rows):
+    """Reference replay: every unit sums its terms' weighted member columns,
+    one unit and one term at a time."""
+    values = rows
+    rule_iter = iter(extracted.rules)
+    for li, layer in enumerate(net.layers):
+        sources = net.input_names if li == 0 else net.unit_labels[li - 1]
+        source_pos = {name: i for i, name in enumerate(sources)}
+        margins = np.zeros((values.shape[0], layer.out_units))
+        for u in range(layer.out_units):
+            rule = next(rule_iter)
+            pre = np.zeros(values.shape[0])
+            for weight, members in rule.terms:
+                pre += weight * values[:, [source_pos[m] for m in members]].sum(axis=1)
+            margins[:, u] = pre - rule.threshold
+        values = (margins > 0).astype(np.float64)
+    return np.array([net.output_names[i] for i in margins.argmax(axis=1)], dtype=object)
+
+
+def random_knowledge_net(seed, widths=(9, 6, 4)):
+    """Sigmoid layers over an antisymmetric two-class softmax head. Weights
+    sit near a few shared levels, so they form multi-member groups, and
+    biases centre each unit on inputs around 0.5."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for n_in, n_out in zip(widths, widths[1:]):
+        weights = rng.choice([-3.0, -1.0, 1.0, 3.0], (n_out, n_in)) + rng.normal(0, 0.05, (n_out, n_in))
+        biases = -0.5 * weights.sum(axis=1) + rng.normal(0, 0.3, n_out)
+        layers.append(Layer(weights, biases, "sigmoid", knowledge_mask=np.ones((n_out, n_in), dtype=bool)))
+    head = rng.choice([-2.0, 2.0], widths[-1]) + rng.normal(0, 0.05, widths[-1])
+    head_bias = -0.5 * head.sum()
+    layers.append(Layer(np.vstack([-head, head]), [-head_bias, head_bias], "softmax"))
+    labels = [[f"h{i}_{j}" for j in range(n)] for i, n in enumerate(widths[1:])] + [["Low", "High"]]
+    return Network(layers, labels, [f"x{j}" for j in range(widths[0])], ["Low", "High"])
+
+
+class TestMatmulReplay:
+    @pytest.mark.parametrize("tolerance", [0.1, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_unit_by_term_loop(self, seed, tolerance):
+        net = random_knowledge_net(seed)
+        names = tuple(net.input_names)
+        rows = np.random.default_rng(seed).uniform(0, 1, (60, len(names)))
+        data = Dataset(names, rows, np.array(["High", "Low"] * 30, dtype=object))
+        extracted = extract_rules(net, data, group_tolerance=tolerance)
+        assert any(len(members) > 1 for r in extracted.rules for _, members in r.terms)
+
+        agree = loop_replay_classes(net, extracted, rows) == predict_labels(net, rows)
+        assert 0.0 < agree.mean() < 1.0  # the rules and the net disagree on some rows
+        assert extracted.fidelity == float(agree.mean())
+        for i in range(len(rows)):  # a one-row fidelity is that row's agreement
+            row = Dataset(names, rows[i : i + 1], data.labels[i : i + 1])
+            assert extract_rules(net, row, group_tolerance=tolerance).fidelity == float(agree[i])
 
 
 class TestPermutationImportance:
