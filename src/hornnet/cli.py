@@ -6,8 +6,8 @@ master seed, and input/output digests; re-running the same command with the
 same inputs reproduces the outputs byte for byte.
 
 Flag resolution precedence: explicit flags > HORNNET_<FLAG> environment
-variables > --config JSON file > built-in defaults. Exit codes: 0 success,
-2 usage error, 1 runtime failure.
+variables > --config JSON file (or the one HORNNET_CONFIG names) > built-in
+defaults. Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -65,11 +65,12 @@ def _resolve(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> No
     line; a non-string config value is read as its JSON text.
     """
     config = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
+    path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
+    if path:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
-            raise _UsageError(f"{args.config}: config file must hold a JSON object")
+            raise _UsageError(f"{path}: config file must hold a JSON object")
     for action in subparser._actions:
         key, env = action.dest, ENV_PREFIX + action.dest.upper()
         if key not in vars(args) or getattr(args, key) != action.default:
@@ -77,7 +78,7 @@ def _resolve(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> No
         if env in os.environ:
             source, value = env, os.environ[env]
         elif key in config:
-            source, value = args.config, config[key]
+            source, value = path, config[key]
         else:
             continue
         if value is not None and not isinstance(value, str):
@@ -91,9 +92,13 @@ def _resolve(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> No
 
 
 def _positive_int(value):
-    n = int(value)
+    message = f"expected a positive integer, got {value!r}"
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
     if n <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(message)
     return n
 
 

@@ -42,6 +42,9 @@ __all__ = [
 ACTIVATIONS = ("relu", "sigmoid", "softmax", "linear")
 LOSSES = ("cross_entropy", "mean_squared_error")
 OPTIMIZERS = ("adam", "sgd")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -247,12 +250,14 @@ def predict_labels(net: Network, x) -> np.ndarray:
     return np.asarray(net.output_names, dtype=object)[probs.argmax(axis=1)]
 
 
-def _data_loss(z_out, a_out, targets, loss):
-    if loss == "cross_entropy":
-        logp = z_out - _logsumexp(z_out)
-        return float(-(targets * logp).sum() / z_out.shape[0])
-    diff = a_out - targets
-    return float((diff * diff).sum() / z_out.shape[0])
+def _loss(net: Network, zs, acts, targets, config, reg_scale) -> float:
+    """Mean data loss of one forward pass plus the penalty scaled by `reg_scale`."""
+    penalty = _penalty(net, config.l1, config.l2) * reg_scale
+    if config.loss == "cross_entropy":
+        logp = zs[-1] - _logsumexp(zs[-1])
+        return float(-(targets * logp).sum() / zs[-1].shape[0]) + penalty
+    diff = acts[-1] - targets
+    return float((diff * diff).sum() / zs[-1].shape[0]) + penalty
 
 
 def _logsumexp(z):
@@ -278,7 +283,7 @@ def total_loss(net: Network, x, targets, config, reg_scale: float | None = None)
     if reg_scale is None:
         reg_scale = 1.0 / x.shape[0]
     zs, acts = _forward_full(net, x)
-    return _data_loss(zs[-1], acts[-1], targets, config.loss) + _penalty(net, config.l1, config.l2) * reg_scale
+    return _loss(net, zs, acts, targets, config, reg_scale)
 
 
 # --------------------------------------------------------------------------
@@ -296,12 +301,13 @@ def _activation_grad(layer: Layer, z, a):
     raise TrainingError("softmax is only supported as the final layer with cross-entropy loss")
 
 
-def _backprop(net: Network, x, targets, config, reg_scale: float | None = None):
-    """Gradients of total_loss wrt every weight and bias (frozen ones zeroed)."""
+def _backprop(net: Network, x, targets, config, reg_scale: float | None = None, cache=None):
+    """Gradients of total_loss wrt every weight and bias (frozen ones zeroed);
+    `cache` is the caller's `_forward_full(net, x)` result, if it has one."""
     batch = x.shape[0]
     if reg_scale is None:
         reg_scale = 1.0 / batch
-    zs, acts = _forward_full(net, x)
+    zs, acts = cache if cache is not None else _forward_full(net, x)
     last = net.layers[-1]
     if config.loss == "cross_entropy":
         if last.activation != "softmax":
@@ -339,9 +345,6 @@ def _backprop(net: Network, x, targets, config, reg_scale: float | None = None):
 class TrainConfig:
     learning_rate: float = 0.03
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     l1: float = 1.0
     l2: float = 1.0
     patience: int = 3
@@ -425,6 +428,29 @@ def _resolve_training_arrays(net: Network, data, config):
     return x, targets, labels
 
 
+def _flat(pairs) -> np.ndarray:
+    """One vector from per-layer (weights, biases) pairs: layer by layer,
+    weights (row-major) before biases."""
+    return np.concatenate([a.ravel() for pair in pairs for a in pair])
+
+
+def _share_parameters(net: Network):
+    """Move every weight and bias of `net` into one float64 vector laid out
+    like `_flat`'s and make each layer's arrays views of it.
+
+    Returns the vector and its frozen mask; biases are never frozen.
+    """
+    params = _flat((layer.weights, layer.biases) for layer in net.layers)
+    frozen = _flat((layer.frozen_mask, np.zeros(layer.out_units, dtype=bool)) for layer in net.layers)
+    offset = 0
+    for layer in net.layers:
+        end = offset + layer.weights.size
+        layer.weights = params[offset:end].reshape(layer.weights.shape)
+        offset = end + layer.out_units
+        layer.biases = params[end:offset]
+    return params, frozen
+
+
 def _validation_score(net: Network, x, targets, loss) -> float:
     zs, acts = _forward_full(net, x)
     if loss == "cross_entropy":
@@ -444,7 +470,8 @@ def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport
     """
     x, targets, labels = _resolve_training_arrays(net, data, config)
     model = net.copy()
-    initial = [(layer.weights.copy(), layer.frozen_mask.copy()) for layer in model.layers]
+    params, frozen = _share_parameters(model)
+    initial = params[frozen]
 
     train_idx, val_idx = validation_split(x.shape[0], config.validation_fraction, config.seed, labels)
     x_tr, t_tr = x[train_idx], targets[train_idx]
@@ -453,15 +480,15 @@ def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport
 
     rng = np.random.default_rng(config.seed + 1)
     reg_scale = 1.0 / len(x_tr)
-    adam_m = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in model.layers]
-    adam_v = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in model.layers]
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
     step = 0
 
     loss_history: list[float] = []
     score_history: list[float] = []
     best_score = -np.inf
     best_epoch = 0
-    best_weights = None
+    best_params = None
     bad_epochs = 0
     stopped_early = False
 
@@ -471,36 +498,25 @@ def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport
         for start in range(0, len(order), config.batch_size):
             batch_idx = order[start : start + config.batch_size]
             xb, tb = x_tr[batch_idx], t_tr[batch_idx]
-            zs, acts = _forward_full(model, xb)
-            batch_loss = _data_loss(zs[-1], acts[-1], tb, config.loss) + _penalty(
-                model, config.l1, config.l2
-            ) * reg_scale
+            cache = _forward_full(model, xb)
+            batch_loss = _loss(model, *cache, tb, config, reg_scale)
             if not np.isfinite(batch_loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                 )
             epoch_loss += batch_loss * len(batch_idx)
-            grads_w, grads_b = _backprop(model, xb, tb, config, reg_scale)
+            grad = _flat(zip(*_backprop(model, xb, tb, config, reg_scale, cache)))
             step += 1
-            for i, layer in enumerate(model.layers):
-                gw, gb = grads_w[i], grads_b[i]
-                if config.optimizer == "adam":
-                    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
-                    mw, mb = adam_m[i]
-                    vw, vb = adam_v[i]
-                    mw[...] = b1 * mw + (1 - b1) * gw
-                    mb[...] = b1 * mb + (1 - b1) * gb
-                    vw[...] = b2 * vw + (1 - b2) * gw * gw
-                    vb[...] = b2 * vb + (1 - b2) * gb * gb
-                    c1, c2 = 1 - b1**step, 1 - b2**step
-                    upd_w = (mw / c1) / (np.sqrt(vw / c2) + eps)
-                    upd_b = (mb / c1) / (np.sqrt(vb / c2) + eps)
-                else:
-                    upd_w, upd_b = gw, gb
-                # frozen gradients are already zero, so adam moments stay zero
-                # there and the update leaves frozen entries untouched
-                layer.weights -= config.learning_rate * upd_w
-                layer.biases -= config.learning_rate * upd_b
+            if config.optimizer == "adam":
+                adam_m = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grad
+                adam_v = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grad * grad
+                c1, c2 = 1 - ADAM_BETA1**step, 1 - ADAM_BETA2**step
+                update = (adam_m / c1) / (np.sqrt(adam_v / c2) + ADAM_EPSILON)
+            else:
+                update = grad
+            # frozen gradients are already zero, so adam moments stay zero
+            # there and the update leaves frozen entries untouched
+            params -= config.learning_rate * update
         loss_history.append(epoch_loss / len(x_tr))
 
         if has_validation:
@@ -509,7 +525,7 @@ def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport
             if score > best_score:
                 best_score = score
                 best_epoch = epoch
-                best_weights = [(l.weights.copy(), l.biases.copy()) for l in model.layers]
+                best_params = params.copy()
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -520,12 +536,9 @@ def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport
             score_history.append(float("nan"))
             best_epoch = epoch
 
-    if best_weights is not None:
-        for layer, (w, b) in zip(model.layers, best_weights):
-            layer.weights = w
-            layer.biases = b
-    for layer, (w0, frozen) in zip(model.layers, initial):
-        layer.weights[frozen] = w0[frozen]
+    if best_params is not None:
+        params[...] = best_params
+    params[frozen] = initial
 
     report = TrainReport(
         epochs_run=len(loss_history),
@@ -555,45 +568,30 @@ def numerical_gradient_check(net: Network, x, targets, config=None, epsilon: flo
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     model = net.copy()
-    grads_w, grads_b = _backprop(model, x, targets, config)
+    params, frozen = _share_parameters(model)
+    analytic = _flat(zip(*_backprop(model, x, targets, config)))
 
     # Regularization gradients above were zeroed on frozen weights; finite
     # differences must see the same objective, so freeze-aware total_loss is
-    # reused as-is (frozen weights are excluded from the penalty).
+    # reused as-is (frozen weights are excluded from the penalty). Frozen
+    # weights never move in training, so they are not compared; one at the L1
+    # kink still counts as skipped.
+    at_kink = _flat((np.abs(layer.weights) <= epsilon, np.zeros(layer.out_units, dtype=bool)) for layer in model.layers)
+    at_kink &= config.l1 > 0
+    checked = np.flatnonzero(~at_kink & ~frozen)
     max_err = 0.0
-    n_checked = 0
-    n_skipped = 0
-
-    def probe(array, index) -> float:
-        old = array[index]
-        array[index] = old + epsilon
+    for k in checked:
+        old = params[k]
+        params[k] = old + epsilon
         hi = total_loss(model, x, targets, config)
-        array[index] = old - epsilon
+        params[k] = old - epsilon
         lo = total_loss(model, x, targets, config)
-        array[index] = old
-        return (hi - lo) / (2 * epsilon)
+        params[k] = old
+        fd = (hi - lo) / (2 * epsilon)
+        err = abs(analytic[k] - fd) / max(abs(analytic[k]), abs(fd), 1e-3)
+        max_err = max(max_err, err)
 
-    for li, layer in enumerate(model.layers):
-        for idx in np.ndindex(layer.weights.shape):
-            if config.l1 > 0 and abs(layer.weights[idx]) <= epsilon:
-                n_skipped += 1
-                continue
-            analytic = grads_w[li][idx]
-            if layer.frozen_mask[idx]:
-                # training never moves it; data-gradient comparison is meaningless
-                continue
-            fd = probe(layer.weights, idx)
-            err = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3)
-            max_err = max(max_err, err)
-            n_checked += 1
-        for j in range(layer.biases.shape[0]):
-            analytic = grads_b[li][j]
-            fd = probe(layer.biases, (j,))
-            err = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-3)
-            max_err = max(max_err, err)
-            n_checked += 1
-
-    return GradientCheckReport(max_relative_error=max_err, n_checked=n_checked, n_skipped=n_skipped)
+    return GradientCheckReport(max_relative_error=max_err, n_checked=len(checked), n_skipped=int(at_kink.sum()))
 
 
 # --------------------------------------------------------------------------
@@ -619,7 +617,7 @@ def save_network(net: Network, path) -> None:
         arrays[f"frozen{i}"] = layer.frozen_mask
         arrays[f"knowledge{i}"] = layer.knowledge_mask
 
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
         info = zipfile.ZipInfo("meta.json", date_time=(1980, 1, 1, 0, 0, 0))
         zf.writestr(info, json.dumps(meta, sort_keys=True))
         for name in sorted(arrays):
@@ -646,5 +644,6 @@ def load_network(path) -> Network:
                 for i in range(meta["n_layers"])
             ]
         return Network(layers, meta["unit_labels"], meta["input_names"], meta["output_names"])
+    # zlib.error: members are written stored, but a file from elsewhere may be deflated
     except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: unreadable model file: {exc}") from None

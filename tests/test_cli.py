@@ -207,6 +207,29 @@ class TestFlagResolution:
         assert main(["synth", "--rows", "96", "--test-rows", "36", "--seed", "1", "--out", str(out), "--config", str(cfg)]) == 0
         assert len((out / "train.csv").read_text().splitlines()) == 97
 
+    def test_config_file_from_env(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rows": 33, "test_rows": 12}))
+        monkeypatch.setenv("HORNNET_CONFIG", str(cfg))
+        out = tmp_path / "d"
+        assert main(["synth", "--seed", "1", "--out", str(out)]) == 0
+        assert len((out / "train.csv").read_text().splitlines()) == 34
+
+    def test_config_flag_beats_env_config(self, tmp_path, monkeypatch):
+        env_cfg, flag_cfg = tmp_path / "env.json", tmp_path / "flag.json"
+        env_cfg.write_text(json.dumps({"rows": 33, "test_rows": 12}))
+        flag_cfg.write_text(json.dumps({"rows": 72, "test_rows": 12}))
+        monkeypatch.setenv("HORNNET_CONFIG", str(env_cfg))
+        out = tmp_path / "d"
+        assert main(["synth", "--seed", "1", "--out", str(out), "--config", str(flag_cfg)]) == 0
+        assert len((out / "train.csv").read_text().splitlines()) == 73
+
+    def test_bad_positive_int_flag_names_no_function(self, tmp_path, capsys):
+        assert main(["synth", "--rows", "abc", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "expected a positive integer, got 'abc'" in err
+        assert "_positive_int" not in err
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         code = main(["evaluate", "--model", str(tmp_path / "missing.npz"), "--data", str(FIXTURE), "--out", str(tmp_path)])
         assert code == 1
@@ -238,6 +261,7 @@ class TestFlagResolution:
         assert main(argv + extra + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("hornnet: error: ") and err.count("\n") == 1
+        assert "_positive_int" not in err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("damage", ["not_zip", "truncated", "member_missing"])

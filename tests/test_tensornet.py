@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hornnet.datakit import Dataset
+from hornnet import tensornet
+from hornnet.datakit import CLASSES, Dataset, SynthConfig, generate_synthetic, normalize
+from hornnet.kbann import CompileConfig, compile_rules
 from hornnet.tensornet import (
     Layer,
     Network,
@@ -205,7 +207,149 @@ class TestTrain:
         TrainConfig(learning_rate=0.0)  # zero step size is allowed
 
 
+def _reference_train(net, data, config):
+    """The per-layer training loop that the flat parameter vector replaced:
+    two forward passes per batch, Adam or SGD layer by layer, and a
+    per-layer best-epoch snapshot, restore and frozen restore."""
+    x, targets, labels = tensornet._resolve_training_arrays(net, data, config)
+    model = net.copy()
+    initial = [(layer.weights.copy(), layer.frozen_mask.copy()) for layer in model.layers]
+    train_idx, val_idx = validation_split(x.shape[0], config.validation_fraction, config.seed, labels)
+    x_tr, t_tr = x[train_idx], targets[train_idx]
+    x_val, t_val = x[val_idx], targets[val_idx]
+    rng = np.random.default_rng(config.seed + 1)
+    reg_scale = 1.0 / len(x_tr)
+    adam_m = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in model.layers]
+    adam_v = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in model.layers]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    loss_history, score_history = [], []
+    best_score, best_weights, bad_epochs = -np.inf, None, 0
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(len(x_tr))
+        epoch_loss = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch_idx = order[start : start + config.batch_size]
+            xb, tb = x_tr[batch_idx], t_tr[batch_idx]
+            epoch_loss += tensornet.total_loss(model, xb, tb, config, reg_scale) * len(batch_idx)
+            grads_w, grads_b = tensornet._backprop(model, xb, tb, config, reg_scale)
+            step += 1
+            for i, layer in enumerate(model.layers):
+                gw, gb = grads_w[i], grads_b[i]
+                if config.optimizer == "adam":
+                    mw, mb = adam_m[i]
+                    vw, vb = adam_v[i]
+                    mw[...] = b1 * mw + (1 - b1) * gw
+                    mb[...] = b1 * mb + (1 - b1) * gb
+                    vw[...] = b2 * vw + (1 - b2) * gw * gw
+                    vb[...] = b2 * vb + (1 - b2) * gb * gb
+                    c1, c2 = 1 - b1**step, 1 - b2**step
+                    upd_w = (mw / c1) / (np.sqrt(vw / c2) + eps)
+                    upd_b = (mb / c1) / (np.sqrt(vb / c2) + eps)
+                else:
+                    upd_w, upd_b = gw, gb
+                layer.weights -= config.learning_rate * upd_w
+                layer.biases -= config.learning_rate * upd_b
+        loss_history.append(epoch_loss / len(x_tr))
+        if len(val_idx):
+            score = tensornet._validation_score(model, x_val, t_val, config.loss)
+            score_history.append(score)
+            if score > best_score:
+                best_score, bad_epochs = score, 0
+                best_weights = [(l.weights.copy(), l.biases.copy()) for l in model.layers]
+            else:
+                bad_epochs += 1
+                if bad_epochs >= config.patience:
+                    break
+        else:
+            score_history.append(float("nan"))
+    if best_weights is not None:
+        for layer, (w, b) in zip(model.layers, best_weights):
+            layer.weights, layer.biases = w, b
+    for layer, (w0, frozen) in zip(model.layers, initial):
+        layer.weights[frozen] = w0[frozen]
+    return model, loss_history, score_history
+
+
+def _worsening_validation_case():
+    # validation rows get the opposite target, so the best epoch is the first
+    n = 30
+    x = np.ones((n, 1))
+    train_idx, val_idx = validation_split(n, 0.1, seed=0)
+    targets = np.zeros((n, 1))
+    targets[train_idx] = 1.0
+    targets[val_idx] = -1.0
+    net = build_network(1, [(1, "linear")], seed=0, output_names=["y"])
+    return net, (x, targets), TrainConfig(seed=0, loss="mean_squared_error", patience=2, max_epochs=50)
+
+
+class TestFlatParameterTraining:
+    def case(self, name, toy_dataset, ct_rules):
+        if name == "mlp_cross_entropy":
+            net = build_mlp(3, [6, 4], 2, seed=4, class_names=["Low", "High"])
+            return net, toy_dataset, TrainConfig(seed=4, max_epochs=12, batch_size=8)
+        if name == "compiled_frozen":
+            raw, _ = generate_synthetic(SynthConfig(n_rows=150, n_test=20, seed=5))
+            data = normalize(raw)
+            config = CompileConfig(seed=5, freeze_knowledge_links=True)
+            net = compile_rules(ct_rules, data.feature_names, CLASSES, config)
+            assert any(layer.frozen_mask.any() for layer in net.layers)
+            return net, data, TrainConfig(seed=5, max_epochs=8)
+        if name == "autoencoder_mse":
+            specs = [(4, "relu"), (2, "relu"), (4, "relu"), (3, "linear")]
+            net = build_network(3, specs, seed=6)
+            return net, (toy_dataset.rows, toy_dataset.rows), TrainConfig(seed=6, loss="mean_squared_error", max_epochs=10)
+        if name == "sgd":
+            net = build_mlp(3, [5], 2, seed=7, class_names=["Low", "High"])
+            return net, toy_dataset, TrainConfig(seed=7, optimizer="sgd", learning_rate=0.1, max_epochs=10)
+        return _worsening_validation_case()
+
+    @pytest.mark.parametrize("name", ["mlp_cross_entropy", "compiled_frozen", "autoencoder_mse", "sgd", "early_stop"])
+    def test_bit_equal_to_per_layer_loop(self, name, toy_dataset, ct_rules):
+        net, data, config = self.case(name, toy_dataset, ct_rules)
+        trained, report = train(net, data, config)
+        ref, ref_losses, ref_scores = _reference_train(net, data, config)
+        for got, want in zip(trained.layers, ref.layers):
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.biases.tobytes() == want.biases.tobytes()
+        assert np.array(report.train_loss_history).tobytes() == np.array(ref_losses).tobytes()
+        assert np.array(report.validation_score_history).tobytes() == np.array(ref_scores).tobytes()
+        if name == "early_stop":
+            assert report.stopped_early and report.best_epoch < report.epochs_run
+
+    def test_one_forward_pass_per_batch(self, toy_dataset, monkeypatch):
+        calls = []
+        real = tensornet._forward_full
+
+        def counting(net, x, start=0):
+            calls.append(len(x))
+            return real(net, x, start)
+
+        monkeypatch.setattr(tensornet, "_forward_full", counting)
+        config = TrainConfig(seed=3, max_epochs=6, batch_size=8)
+        _, report = train(build_mlp(3, [5], 2, seed=3, class_names=["Low", "High"]), toy_dataset, config)
+        train_idx, val_idx = validation_split(60, config.validation_fraction, config.seed, toy_dataset.labels)
+        batches = -(-len(train_idx) // config.batch_size)
+        assert len(val_idx) > 0
+        assert len(calls) == report.epochs_run * (batches + 1)
+
+
 class TestGradientCheck:
+    @pytest.mark.parametrize("l1, n_checked, n_skipped", [(1.0, 21, 3), (0.0, 23, 0)])
+    def test_counts_with_frozen_and_kink_weights(self, l1, n_checked, n_skipped):
+        net = build_network(3, [(4, "sigmoid"), (2, "softmax")], seed=8)
+        first, second = net.layers
+        first.frozen_mask[0, :] = True
+        first.weights[0, 0] = 0.0  # frozen and at the L1 kink: counted as skipped
+        first.weights[1, 1] = 1e-6
+        second.weights[1, 3] = -5e-6
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(5, 3))
+        targets = np.eye(2)[rng.integers(0, 2, 5)]
+        report = numerical_gradient_check(net, x, targets, TrainConfig(l1=l1, l2=0.5))
+        assert (report.n_checked, report.n_skipped) == (n_checked, n_skipped)
+        assert report.max_relative_error < 1e-4
+
     def test_random_network_no_regularization(self):
         rng = np.random.default_rng(1)
         net = build_network(3, [(4, "sigmoid"), (2, "softmax")], seed=1)
