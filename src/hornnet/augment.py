@@ -23,8 +23,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Most float64 elements one block of SMOTE's pairwise-difference tensor may
-# hold (16 MB), so the neighbor search's memory grows linearly in the rows.
+# SMOTE's neighbor search works on budget // (n * d) rows at a time: the rows
+# whose n x d pairwise differences fit in 2**21 float64s (16 MB). A block holds
+# its n-wide screen and the differences to each row's candidates, at most n, so
+# memory grows linearly in the rows.
 _KNN_BLOCK_ELEMENTS = 2**21
 
 
@@ -109,18 +111,69 @@ def smote(data: Dataset, config: SmoteConfig | None = None) -> Dataset:
 
 
 def _nearest_neighbors(points: np.ndarray, k: int) -> np.ndarray:
-    """Ids of each point's k nearest other points by squared Euclidean
-    distance, ties broken by lower id. Distances are computed for a block of
-    rows at a time, within `_KNN_BLOCK_ELEMENTS`."""
+    """Ids of each point's k nearest other points by the squared Euclidean
+    distance `((a - b) ** 2).sum(axis=-1)`, ties broken by lower id.
+
+    Rows are searched a block at a time, `_KNN_BLOCK_ELEMENTS // (n * d)`
+    rows per block, in four steps:
+
+    1. Screen. One matmul per block gives s = ||b||^2 - 2 a.b, which is the
+       squared distance less ||a||^2, a constant of the row. `argpartition`
+       keeps the `2k` lowest screen values of each row as its window.
+    2. Margin. With u the unit roundoff and g_m = m u / (1 - m u), computing
+       ||b||^2, a.b (any summation order, with or without FMA) and their sum
+       puts s within g_(d+1) (||a|| + ||b||)^2 of its real value, and the
+       exact expression is within g_(d+2) ||a - b||^2 of the real distance
+       (d + 2 roundings per term). So s + ||a||^2 and the exact distance
+       differ by at most 2 g_(d+2) (||a|| + ||b||)^2 <= 8 g_(d+2) r^2, r the
+       largest norm; `margin` doubles that to cover the rounding of r^2, and
+       adds the smallest normal float to cover underflow. If t is a row's
+       k-th lowest screen value, the row's k-th smallest exact distance is
+       at most t + ||a||^2 + margin, so each of its k true neighbors has
+       screen value at most t + 2 margin. A window whose next lowest
+       screen value is above t + 2 margin thus holds them all.
+    3. Exact rank. Each row's candidates get the exact expression, whose
+       values are bit-identical to an all-pairs computation, and are ordered
+       by (distance, id).
+    4. Fallback. A row whose window is not proven complete (ties or near ties
+       at the window's edge, duplicated points, cancellation at large
+       offsets) takes every point with screen value within t + 2 margin.
+
+    Points must be finite and their squared norms must not overflow.
+    """
     n, d = points.shape
     block = max(1, _KNN_BLOCK_ELEMENTS // (n * d))
+    width = min(n - 1, 2 * k)
+    sq = np.einsum("ij,ij->i", points, points)
+    u = np.finfo(np.float64).eps / 2
+    gamma = (d + 2) * u / (1 - (d + 2) * u)
+    margin = 16 * gamma * sq.max() + np.finfo(np.float64).tiny
+    minus_twice = -2.0 * points
     ids = np.empty((n, k), dtype=np.intp)
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        d2 = ((points[start:stop, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        ids[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        rows = np.arange(start, min(start + block, n))
+        screen = points[rows] @ minus_twice.T
+        screen += sq
+        screen[rows - start, rows] = np.inf
+        window = np.argpartition(screen, width, axis=1)[:, : width + 1]
+        near = np.take_along_axis(screen, window, axis=1)
+        limit = np.partition(near[:, :width], k - 1, axis=1)[:, k - 1] + 2 * margin
+        proven = near[:, width] > limit
+        ids[rows[proven]] = _closest(points, rows[proven], window[proven, :width], k)
+        if not proven.all():
+            wide = screen[~proven]
+            count = (wide <= limit[~proven, None]).sum(axis=1).max()
+            candidates = np.argpartition(wide, count - 1, axis=1)[:, :count]
+            ids[rows[~proven]] = _closest(points, rows[~proven], candidates, k)
     return ids
+
+
+def _closest(points: np.ndarray, rows: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
+    """For each of `rows`, the k ids of its row of `candidates` nearest to it
+    by the exact squared distance, ties broken by lower id."""
+    dist = ((points[rows, None, :] - points[candidates]) ** 2).sum(axis=-1)
+    order = np.lexsort((candidates, dist), axis=-1)[:, :k]
+    return np.take_along_axis(candidates, order, axis=1)
 
 
 # --------------------------------------------------------------------------

@@ -68,7 +68,10 @@ def _resolve(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> No
     path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if path:
         with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise _UsageError(f"{path}: config file is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise _UsageError(f"{path}: config file must hold a JSON object")
     for action in subparser._actions:

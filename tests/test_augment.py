@@ -124,6 +124,34 @@ class TestSmote:
         assert lam.min() >= 0.0 and lam.max() <= 1.0
 
 
+def ulp_pairs(n_clusters=12, d=3, seed=14):
+    """Far-apart clusters of an anchor and two points whose exact distances
+    to it differ by one ulp, the farther point at the lower id."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < 3 * n_clusters:
+        anchor = np.zeros(d)
+        anchor[0] = 10.0 * len(points)
+        near = anchor + rng.uniform(0.1, 0.2, d)
+        far = near.copy()
+        far[1] = np.nextafter(far[1], np.inf)
+        to_near, to_far = (((anchor - q) ** 2).sum() for q in (near, far))
+        if to_far == np.nextafter(to_near, np.inf):
+            points += [anchor, far, near]
+    return np.array(points)
+
+
+# (points, k) inputs on which the screened search must equal the all-pairs one
+EXACT_CASES = {
+    "identical": lambda rng: (np.full((40, 3), 0.7), 5),
+    "ulp_pairs": lambda rng: (ulp_pairs(), 2),
+    # the screen's expansion cancels: its rounding error dwarfs the distances
+    "large_offset": lambda rng: (1e3 + 1e-6 * rng.standard_normal((120, 3)), 5),
+    "k_is_n_minus_1": lambda rng: (rng.uniform(0, 1, (20, 4)), 19),
+    "one_feature": lambda rng: (rng.integers(0, 30, (150, 1)) / 29.0, 5),
+}
+
+
 class TestSmoteNeighborBlocks:
     """The k-NN search works a block of rows at a time; ids must equal the
     all-pairs search, ties broken by lower id."""
@@ -133,6 +161,27 @@ class TestSmoteNeighborBlocks:
         d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, np.inf)
         return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+    @pytest.mark.parametrize("case", sorted(EXACT_CASES))
+    def test_exact_cases_match_all_pairs_reference(self, case, monkeypatch):
+        points, k = EXACT_CASES[case](np.random.default_rng(15))
+        monkeypatch.setattr(augment, "_KNN_BLOCK_ELEMENTS", 7 * points.size)  # 7 rows per block
+        ids = augment._nearest_neighbors(points, k)
+        assert np.array_equal(ids, self.quadratic_neighbors(points, k))
+
+    def test_ties_rank_every_point_within_the_margin(self, monkeypatch):
+        widths = []
+        closest = augment._closest
+
+        def spy(points, rows, candidates, k):
+            widths.append(candidates.shape[1])
+            return closest(points, rows, candidates, k)
+
+        monkeypatch.setattr(augment, "_closest", spy)
+        points, k = EXACT_CASES["identical"](None)
+        augment._nearest_neighbors(points, k)
+        # every distance ties, so no row's 2k-wide window is proven complete
+        assert max(widths) == points.shape[0] - 1
 
     def test_blocks_match_all_pairs_reference(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -163,6 +212,20 @@ class TestSmoteNeighborBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2 * augment._KNN_BLOCK_ELEMENTS * 8  # 32 MB
+
+    def test_peak_memory_within_one_block_budget(self):
+        rng = np.random.default_rng(13)
+        n_min, n_maj, d = 1200, 1300, 4
+        rows = rng.uniform(0, 1, (n_min + n_maj, d))
+        labels = np.array(["High"] * n_maj + ["Low"] * n_min, dtype=object)
+        data = Dataset(tuple(f"f{i}" for i in range(d)), rows, labels)
+        tracemalloc.start()
+        try:
+            smote(data, SmoteConfig(seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < augment._KNN_BLOCK_ELEMENTS * 8  # 16 MB
 
 
 class TestAutoencoder:

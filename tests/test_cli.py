@@ -264,6 +264,15 @@ class TestFlagResolution:
         assert "_positive_int" not in err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("raw", [b'{"rows": 3', b'{"rows": "\xff"}'], ids=["truncated", "not_utf8"])
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hornnet: error: {cfg}: config file is not valid JSON: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("damage", ["not_zip", "truncated", "member_missing"])
     def test_bad_model_file_is_runtime_error(self, tmp_path, capsys, damage):
         good = tmp_path / "good"
