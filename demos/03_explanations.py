@@ -5,13 +5,11 @@ misprediction table); the knowledge-compiled model yields threshold rules
 read directly off its trained weights.
 """
 
-import numpy as np
-
 from hornnet import parse_rules
 from hornnet.datakit import SynthConfig, apply_normalization, feature_bounds, generate_synthetic
 from hornnet.explain import format_misprediction_table, global_explain, misprediction_report
 from hornnet.kbann import CompileConfig, compile_rules, extract_rules, format_extracted_rules
-from hornnet.tensornet import TrainConfig, build_mlp, predict_proba, train
+from hornnet.tensornet import TrainConfig, build_mlp, predictor, train
 
 rules = parse_rules(
     "Final_score :- CT_concepts, CT_skills.\n"
@@ -30,11 +28,7 @@ baseline = build_mlp(
     input_names=list(train_data.feature_names), class_names=["Low", "High"],
 )
 baseline, _ = train(baseline, train_data, TrainConfig(seed=3))
-
-
-def predict_fn(x):
-    return np.atleast_2d(predict_proba(baseline, x))
-
+predict_fn = predictor(baseline)
 
 print("fitting local surrogates on every test row (this samples around each point)...")
 global_exp = global_explain(predict_fn, test_data, n_samples=500, seed=3)

@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
 from . import __version__, augment, datakit, evalharness, explain, kbann, tensornet
@@ -94,15 +94,31 @@ def _resolve(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> No
         setattr(args, key, value)
 
 
-def _positive_int(value):
-    message = f"expected a positive integer, got {value!r}"
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
-    if n <= 0:
-        raise argparse.ArgumentTypeError(message)
-    return n
+def _flag_type(convert, accept, expected: str):
+    """An argparse type: `convert` the text, then require `accept` of the
+    result. Either failure is a usage error, `expected <expected>, got '<text>'`."""
+
+    def parse(value):
+        try:
+            result = convert(value)
+            ok = accept(result)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+        return result
+
+    return parse
+
+
+_positive_int = _flag_type(int, lambda n: n > 0, "a positive integer")
+_fold_count = _flag_type(int, lambda n: n >= 2, "an integer >= 2")
+_lime_samples = _flag_type(int, lambda n: n >= explain.MIN_SAMPLES, f"an integer >= {explain.MIN_SAMPLES}")
+# NaN fails every comparison, so each float type rejects it.
+_non_negative = _flag_type(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
+_positive = _flag_type(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_fraction = _flag_type(float, lambda x: 0 < x < 1, "a number in (0, 1)")
+_correlation = _flag_type(float, lambda x: -1 < x < 1, "a number in (-1, 1)")
 
 
 def _add_common(sub, *, seed=True):
@@ -126,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic train/test CSVs")
     p.add_argument("--rows", type=_positive_int, default=427)
     p.add_argument("--test-rows", type=_positive_int, default=85, dest="test_rows")
-    p.add_argument("--class-ratio", type=float, default=364 / 427, dest="class_ratio")
-    p.add_argument("--train-r", type=float, default=0.887, dest="train_r")
-    p.add_argument("--test-r", type=float, default=0.632, dest="test_r")
+    p.add_argument("--class-ratio", type=_fraction, default=364 / 427, dest="class_ratio")
+    p.add_argument("--train-r", type=_correlation, default=0.887, dest="train_r")
+    p.add_argument("--test-r", type=_correlation, default=0.632, dest="test_r")
     _add_common(p)
 
     p = sub.add_parser("train", help="train a model on a CSV")
@@ -136,9 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", default=None, help="rule file (required for --model nsai)")
     p.add_argument("--model", choices=("baseline", "nsai"), default=None)
     p.add_argument("--augment", choices=("none", "smote", "autoencoder"), default="none")
-    p.add_argument("--learning-rate", type=float, default=0.03, dest="learning_rate")
+    p.add_argument("--learning-rate", type=_non_negative, default=0.03, dest="learning_rate")
     p.add_argument("--max-epochs", type=_positive_int, default=500, dest="max_epochs")
-    p.add_argument("--omega", type=float, default=kbann.CompileConfig.omega)
+    p.add_argument("--omega", type=_positive, default=kbann.CompileConfig.omega)
     _add_common(p)
 
     p = sub.add_parser("evaluate", help="evaluate a model file on a CSV")
@@ -149,22 +165,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="surrogate explanations for a model")
     p.add_argument("--model", required=True, dest="model_path")
     p.add_argument("--data", required=True)
-    p.add_argument("--samples", type=_positive_int, default=1000)
+    p.add_argument("--samples", type=_lime_samples, default=1000)
     _add_common(p)
 
     p = sub.add_parser("extract", help="threshold rules from a knowledge model")
     p.add_argument("--model", required=True, dest="model_path")
     p.add_argument("--data", required=True)
-    p.add_argument("--tolerance", type=float, default=0.1)
+    p.add_argument("--tolerance", type=_non_negative, default=0.1)
     _add_common(p, seed=False)
 
     p = sub.add_parser("compare", help="train and compare all four models")
     p.add_argument("--train", required=True, dest="train_path")
     p.add_argument("--test", required=True, dest="test_path")
     p.add_argument("--rules", required=True)
-    p.add_argument("--cv-folds", type=_positive_int, default=10, dest="cv_folds")
+    p.add_argument("--cv-folds", type=_fold_count, default=10, dest="cv_folds")
     _add_common(p)
 
+    # a bad flag value raises ArgumentError, which `main` prints as one line
+    for p in (parser, *sub.choices.values()):
+        p.exit_on_error = False
     _SUBPARSERS.clear()
     _SUBPARSERS.update(sub.choices)
     return parser
@@ -258,7 +277,7 @@ def _cmd_explain(args, out: Path) -> list[Path]:
     net = tensornet.load_network(args.model_path)
     data = datakit.normalize(datakit.load_csv(args.data))
 
-    predict_fn = partial(tensornet.predict_proba, net)
+    predict_fn = tensornet.predictor(net)
     global_exp = explain.global_explain(predict_fn, data, n_samples=args.samples, seed=args.seed)
     records = explain.misprediction_report(predict_fn, data, n_samples=args.samples, seed=args.seed)
     _write_json(
@@ -326,17 +345,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
         _resolve(args, _SUBPARSERS[args.command])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         inputs = _COMMANDS[args.command](args, out)
         # evaluate and extract take no --seed; their manifests record None
         _write_manifest(out, args.command, vars(args), getattr(args, "seed", None), inputs)
-    except _UsageError as exc:
+    except SystemExit as exc:  # --help, --version, or a missing or unknown flag
+        return int(exc.code or 0)
+    except (_UsageError, argparse.ArgumentError) as exc:
         print(f"hornnet: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, RuntimeError) as exc:

@@ -23,6 +23,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+MIN_SAMPLES = 50  # fewest perturbations `lime_explain` fits a surrogate to
+
 
 @dataclass
 class FeatureStats:
@@ -97,8 +99,8 @@ def lime_explain(
     distance in std-normalized space. kernel_width defaults to
     0.75 * sqrt(n_features). Deterministic for a given seed.
     """
-    if n_samples < 50:
-        raise ValueError("n_samples must be >= 50")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be >= {MIN_SAMPLES}")
     instance = np.asarray(instance, dtype=np.float64)
     d = instance.shape[0]
     if kernel_width is None:
@@ -195,6 +197,8 @@ def misprediction_report(
     — importance sign agreeing with the predicted class — and those
     contradicting it.
     """
+    if data.n_rows == 0:
+        raise ValueError("dataset is empty")
     stats = FeatureStats.from_dataset(data)
     probs = np.asarray(predict_fn(data.rows), dtype=np.float64)
     predicted = probs.argmax(axis=1)

@@ -15,6 +15,7 @@ import json
 import zipfile
 import zlib
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "build_mlp",
     "forward",
     "predict_proba",
+    "predictor",
     "predict_labels",
     "train",
     "validation_split",
@@ -51,8 +53,8 @@ class TrainingError(RuntimeError):
     pass
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
+def _sigmoid(z, out=None):
+    out = np.empty_like(z) if out is None else out
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -60,19 +62,22 @@ def _sigmoid(z):
     return out
 
 
-def _softmax(z):
-    shifted = z - z.max(axis=-1, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / ez.sum(axis=-1, keepdims=True)
+def _softmax(z, out=None):
+    out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
-def _activate(z, kind):
+def _activate(z, kind, out=None):
+    """Activation of pre-activations `z`, written into `out` when given;
+    linear returns `z` itself."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if kind == "sigmoid":
-        return _sigmoid(z)
+        return _sigmoid(z, out)
     if kind == "softmax":
-        return _softmax(z)
+        return _softmax(z, out)
     if kind == "linear":
         return z
     raise ValueError(f"unknown activation {kind!r}")
@@ -217,32 +222,66 @@ def build_mlp(input_dim, hidden, output_dim, seed, input_names=None, class_names
 # --------------------------------------------------------------------------
 
 
-def _forward_full(net: Network, x: np.ndarray, start: int = 0):
+def _forward_full(net: Network, x: np.ndarray, start: int = 0, out=None):
     """Pre-activations and activations of layers `start` onward; `x` is the
-    input to layer `start`."""
+    input to layer `start`.
+
+    `out`, if given, holds one (z, a) buffer pair per layer from `start` on,
+    each of shape (rows of `x`, layer width); the results are written there.
+    """
     zs, acts = [], []
     a = x
-    for layer in net.layers[start:]:
-        z = a @ layer.weights.T + layer.biases
-        a = _activate(z, layer.activation)
+    for layer, (z_buf, a_buf) in zip(net.layers[start:], out or repeat((None, None))):
+        z = np.matmul(a, layer.weights.T, out=z_buf)
+        z += layer.biases
+        a = _activate(z, layer.activation, a_buf)
         zs.append(z)
         acts.append(a)
     return zs, acts
 
 
-def forward(net: Network, x) -> list[np.ndarray]:
-    """Activations of every layer for one sample (1-D) or a batch (2-D)."""
+def _as_batch(net: Network, x):
+    """`x` as a float64 2-D batch, and whether it was one 1-D sample."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     batch = x[None, :] if single else x
     if batch.shape[1] != net.input_dim:
         raise ValueError(f"input width {batch.shape[1]} != network input dim {net.input_dim}")
+    return batch, single
+
+
+def forward(net: Network, x) -> list[np.ndarray]:
+    """Activations of every layer for one sample (1-D) or a batch (2-D)."""
+    batch, single = _as_batch(net, x)
     _, acts = _forward_full(net, batch)
     return [a[0] if single else a for a in acts]
 
 
 def predict_proba(net: Network, x) -> np.ndarray:
     return forward(net, x)[-1]
+
+
+def predictor(net: Network):
+    """A callable equal to ``partial(predict_proba, net)`` that reuses one
+    (z, a) buffer pair per layer across calls.
+
+    The buffers grow to the largest batch seen; smaller batches use row-prefix
+    slices of them. Fresh activations of a 1000-row batch are big enough that
+    the allocator maps and unmaps them on every call, and faulting their pages
+    in again dominates a caller that makes many passes, such as LIME. Each call
+    returns a copy, so a held result is never overwritten by the next call.
+    """
+    buffers = []
+
+    def predict(x) -> np.ndarray:
+        batch, single = _as_batch(net, x)
+        rows = batch.shape[0]
+        if not buffers or buffers[0][0].shape[0] < rows:
+            buffers[:] = [(np.empty((rows, layer.out_units)), np.empty((rows, layer.out_units))) for layer in net.layers]
+        _, acts = _forward_full(net, batch, out=[(z[:rows], a[:rows]) for z, a in buffers])
+        return (acts[-1][0] if single else acts[-1]).copy()
+
+    return predict
 
 
 def predict_labels(net: Network, x) -> np.ndarray:

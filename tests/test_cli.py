@@ -248,6 +248,16 @@ class TestFlagResolution:
             (["train", "--data", str(FIXTURE)], {}, {"augment": "smotee"}),
             (["train", "--data", str(FIXTURE)], {"HORNNET_MODEL": "bogus"}, None),
             (["train", "--data", str(FIXTURE), "--model", "nsai"], {}, None),
+            (["explain", "--model", "m.npz", "--data", str(FIXTURE), "--samples", "10"], {}, None),
+            (["train", "--data", str(FIXTURE), "--learning-rate", "-1"], {}, None),
+            (["train", "--data", str(FIXTURE), "--learning-rate", "nan"], {}, None),
+            (["train", "--data", str(FIXTURE)], {"HORNNET_LEARNING_RATE": "inf"}, None),
+            (["train", "--data", str(FIXTURE), "--rules", "r", "--omega", "0"], {}, None),
+            (["synth", "--class-ratio", "1.5"], {}, None),
+            (["synth", "--train-r", "2"], {}, None),
+            (["synth"], {}, {"test_r": "nan"}),
+            (["extract", "--model", "m.npz", "--data", str(FIXTURE), "--tolerance", "-1"], {}, None),
+            (["compare", "--train", "a", "--test", "b", "--rules", "r", "--cv-folds", "1"], {}, None),
         ],
     )
     def test_bad_values_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv, env, config):

@@ -129,6 +129,11 @@ class TestMispredictions:
         records = misprediction_report(model, self._dataset(rows, labels), n_samples=200, seed=0)
         assert records == []
 
+    def test_empty_dataset_rejected(self):
+        data = self._dataset(np.zeros((0, 2)), [])
+        with pytest.raises(ValueError, match="empty"):
+            misprediction_report(constant_model, data, seed=0)
+
     def test_supporting_features_agree_with_prediction(self):
         rows = np.array([[1.0, 0.0], [0.9, 0.1]])
         labels = ["Low", "Low"]  # model will confidently say High

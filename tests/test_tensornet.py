@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from hornnet.tensornet import (
     load_network,
     numerical_gradient_check,
     predict_labels,
+    predict_proba,
+    predictor,
     save_network,
     train,
     validation_split,
@@ -91,6 +95,65 @@ class TestForward:
         net = build_mlp(4, [6], 2, seed=2)
         with pytest.raises(ValueError, match="input"):
             forward(net, np.zeros(5))
+
+
+class TestPredictor:
+    def net(self, kind, ct_rules, game_features):
+        if kind == "relu_softmax":
+            return build_mlp(9, [50, 50], 2, seed=3)
+        if kind == "sigmoid":
+            return compile_rules(ct_rules, game_features, CLASSES, CompileConfig(seed=3))
+        specs = [(4, "relu"), (2, "relu"), (4, "relu"), (9, "linear")]
+        return build_network(9, specs, seed=3)
+
+    @pytest.mark.parametrize("kind", ["relu_softmax", "sigmoid", "linear"])
+    def test_bit_equal_to_predict_proba(self, kind, ct_rules, game_features):
+        net = self.net(kind, ct_rules, game_features)
+        predict = predictor(net)
+        rng = np.random.default_rng(8)
+        for rows in (1000, 1, 427, 1000):
+            x = rng.uniform(-1.0, 2.0, (rows, 9))
+            got = predict(x)
+            assert got.shape == (rows, net.output_dim)
+            assert got.tobytes() == predict_proba(net, x).tobytes()
+        row = rng.uniform(-1.0, 2.0, 9)
+        got = predict(row)
+        assert got.shape == (net.output_dim,)
+        assert got.tobytes() == predict_proba(net, row).tobytes()
+
+    def test_result_kept_across_calls(self):
+        net = build_mlp(9, [50, 50], 2, seed=3)
+        predict = predictor(net)
+        rng = np.random.default_rng(9)
+        x = rng.uniform(size=(1000, 9))
+        first = predict(x)
+        kept = first.copy()
+        predict(rng.uniform(size=(1000, 9)))
+        predict(rng.uniform(size=(3, 9)))
+        assert first.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("kind", tensornet.ACTIVATIONS)
+    def test_activate_into_out_equals_allocating(self, kind):
+        z = np.random.default_rng(10).normal(scale=20.0, size=(64, 5))
+        want = tensornet._activate(z, kind)
+        buf = np.full_like(z, np.nan)
+        got = tensornet._activate(z, kind, out=buf)
+        assert got.tobytes() == want.tobytes()
+        assert got is (z if kind == "linear" else buf)
+
+    def test_repeated_calls_allocate_only_their_results(self):
+        net = build_mlp(9, [50, 50], 2, seed=3)
+        predict = predictor(net)
+        x = np.random.default_rng(11).uniform(size=(1000, 9))
+        predict(x)
+        tracemalloc.start()
+        try:
+            results = [predict(x) for _ in range(20)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one fresh 1000 x 50 activation alone is 400 KB
+        assert peak < sum(r.nbytes for r in results) + 200_000
 
 
 class TestTrain:
