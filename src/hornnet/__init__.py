@@ -19,11 +19,9 @@ from .datakit import (  # noqa: F401
     CLASSES,
     Dataset,
     SynthConfig,
-    apply_normalization,
     generate_synthetic,
     kfold_split,
     load_csv,
-    normalize,
     save_csv,
     train_test_split,
 )

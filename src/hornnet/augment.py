@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datakit import Dataset, denormalize, feature_bounds, normalize, _scale
+from .datakit import Dataset, feature_bounds, scale
 from .tensornet import Network, TrainConfig, TrainReport, _forward_full, build_network, forward, train
 
 __all__ = [
@@ -98,7 +98,7 @@ def smote(data: Dataset, config: SmoteConfig | None = None) -> Dataset:
         )
 
     minority_rows = data.rows[data.labels == minority]
-    neighbor_ids = _nearest_neighbors(_scale(minority_rows, feature_bounds(data)), config.k_neighbors)
+    neighbor_ids = _nearest_neighbors(scale(minority_rows, feature_bounds(data)), config.k_neighbors)
 
     rng = np.random.default_rng(config.seed)
     synthetic = np.empty((n_new, data.n_features))
@@ -284,8 +284,9 @@ def balance_with_autoencoder(
         log.warning("autoencoder balance: classes already equal; returning input unchanged")
         return data
 
-    scaled = normalize(data)
+    bounds = np.array(feature_bounds(data))
+    scaled = replace(data, rows=scale(data.rows, bounds))
     ae = train_autoencoder(scaled, config)
     sampled = autoencoder_sample(ae, scaled, minority, n_new, seed=seed)
-    raw = denormalize(Dataset(data.feature_names, sampled, [minority] * n_new, scaled.normalization))
-    return _append_rows(data, raw.rows, minority, "autoencoder")
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    return _append_rows(data, sampled * (hi - lo) + lo, minority, "autoencoder")

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, augment, datakit, evalharness, explain, kbann, tensornet
@@ -56,6 +57,13 @@ def _write_manifest(out_dir: Path, command: str, args: dict, seed, inputs: list[
 
 class _UsageError(Exception):
     """A bad command-line combination or flag value (exit code 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad, missing or unknown flag as `_UsageError`; subparsers share the class."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _resolve(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> None:
@@ -112,6 +120,7 @@ def _flag_type(convert, accept, expected: str):
 
 
 _positive_int = _flag_type(int, lambda n: n > 0, "a positive integer")
+_split_rows = _flag_type(int, lambda n: n >= 10, "an integer >= 10")  # datakit.SynthConfig's floor
 _fold_count = _flag_type(int, lambda n: n >= 2, "an integer >= 2")
 _lime_samples = _flag_type(int, lambda n: n >= explain.MIN_SAMPLES, f"an integer >= {explain.MIN_SAMPLES}")
 # NaN fails every comparison, so each float type rejects it.
@@ -132,7 +141,7 @@ _SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hornnet",
         description=__doc__.splitlines()[0],
     )
@@ -140,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic train/test CSVs")
-    p.add_argument("--rows", type=_positive_int, default=427)
-    p.add_argument("--test-rows", type=_positive_int, default=85, dest="test_rows")
+    p.add_argument("--rows", type=_split_rows, default=427)
+    p.add_argument("--test-rows", type=_split_rows, default=85, dest="test_rows")
     p.add_argument("--class-ratio", type=_fraction, default=364 / 427, dest="class_ratio")
     p.add_argument("--train-r", type=_correlation, default=0.887, dest="train_r")
     p.add_argument("--test-r", type=_correlation, default=0.632, dest="test_r")
@@ -181,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv-folds", type=_fold_count, default=10, dest="cv_folds")
     _add_common(p)
 
-    # a bad flag value raises ArgumentError, which `main` prints as one line
-    for p in (parser, *sub.choices.values()):
-        p.exit_on_error = False
     _SUBPARSERS.clear()
     _SUBPARSERS.update(sub.choices)
     return parser
@@ -223,7 +229,6 @@ def _cmd_train(args, out: Path) -> list[Path]:
         data = augment.smote(data, augment.SmoteConfig(seed=args.seed))
     elif args.augment == "autoencoder":
         data = augment.balance_with_autoencoder(data, seed=args.seed)
-    normalized = datakit.normalize(data)
 
     train_cfg = tensornet.TrainConfig(
         learning_rate=args.learning_rate, max_epochs=args.max_epochs, seed=args.seed
@@ -233,37 +238,46 @@ def _cmd_train(args, out: Path) -> list[Path]:
         rules = rewrite_disjuncts(parse_rules(Path(args.rules).read_text(encoding="utf-8")))
         net = kbann.compile_rules(
             rules,
-            normalized.feature_names,
+            data.feature_names,
             CLASSES,
             kbann.CompileConfig(omega=args.omega, seed=args.seed),
         )
     else:
-        net = evalharness.build_baseline(normalized, args.seed)
-    trained, report = tensornet.train(net, normalized, train_cfg)
+        net = evalharness.build_baseline(data, args.seed)
+    net = replace(net, input_bounds=datakit.feature_bounds(data))
+    trained, report = tensornet.train(net, data, train_cfg)
     tensornet.save_network(trained, out / "model.npz")
     _write_json(
         out / "train_report.json",
         {
             "model": model_kind,
             "augment": args.augment,
-            "effective_rows": normalized.n_rows,
-            "class_counts": normalized.class_counts(),
-            "normalization": [list(b) for b in normalized.normalization],
+            "effective_rows": data.n_rows,
+            "class_counts": data.class_counts(),
+            "normalization": trained.input_bounds.tolist(),
             "epochs_run": report.epochs_run,
             "best_epoch": report.best_epoch,
             "stopped_early": report.stopped_early,
             "final_train_loss": report.train_loss_history[-1],
         },
     )
-    print(f"trained {model_kind} model on {normalized.n_rows} rows -> {out / 'model.npz'}")
+    print(f"trained {model_kind} model on {data.n_rows} rows -> {out / 'model.npz'}")
     return inputs
 
 
-def _cmd_evaluate(args, out: Path) -> list[Path]:
+def _scoring_inputs(args) -> tuple[tensornet.Network, datakit.Dataset]:
+    """The --model network and the --data CSV with its feature columns matched by
+    name to the network's `input_names`, in that order."""
     net = tensornet.load_network(args.model_path)
-    # model files store no bounds; data is scaled with its own observed
-    # bounds, matching the training-side convention
-    data = datakit.normalize(datakit.load_csv(args.data))
+    data = datakit.load_csv(args.data)
+    if missing := [name for name in net.input_names if name not in data.feature_names]:
+        raise datakit.DataError(f"{args.data}: missing feature column(s) the model needs: {', '.join(missing)}")
+    order = [data.feature_names.index(name) for name in net.input_names]
+    return net, replace(data, feature_names=net.input_names, rows=data.rows[:, order])
+
+
+def _cmd_evaluate(args, out: Path) -> list[Path]:
+    net, data = _scoring_inputs(args)
     preds = tensornet.predict_labels(net, data.rows).astype(str)
     metrics = evalharness.compute_metrics(preds, data.labels.astype(str), CLASSES)
     _write_json(out / "metrics.json", evalharness.metrics_to_dict(metrics))
@@ -274,8 +288,7 @@ def _cmd_evaluate(args, out: Path) -> list[Path]:
 
 
 def _cmd_explain(args, out: Path) -> list[Path]:
-    net = tensornet.load_network(args.model_path)
-    data = datakit.normalize(datakit.load_csv(args.data))
+    net, data = _scoring_inputs(args)
 
     predict_fn = tensornet.predictor(net)
     global_exp = explain.global_explain(predict_fn, data, n_samples=args.samples, seed=args.seed)
@@ -308,8 +321,7 @@ def _cmd_explain(args, out: Path) -> list[Path]:
 
 
 def _cmd_extract(args, out: Path) -> list[Path]:
-    net = tensornet.load_network(args.model_path)
-    data = datakit.normalize(datakit.load_csv(args.data))
+    net, data = _scoring_inputs(args)
     extracted = kbann.extract_rules(net, data, group_tolerance=args.tolerance)
     text = kbann.format_extracted_rules(extracted)
     (out / "rules.txt").write_text(text, encoding="utf-8")
@@ -351,9 +363,9 @@ def main(argv=None) -> int:
         inputs = _COMMANDS[args.command](args, out)
         # evaluate and extract take no --seed; their manifests record None
         _write_manifest(out, args.command, vars(args), getattr(args, "seed", None), inputs)
-    except SystemExit as exc:  # --help, --version, or a missing or unknown flag
+    except SystemExit as exc:  # --help or --version
         return int(exc.code or 0)
-    except (_UsageError, argparse.ArgumentError) as exc:
+    except _UsageError as exc:
         print(f"hornnet: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, RuntimeError) as exc:

@@ -1,6 +1,7 @@
 """Tabular dataset handling: CSV ingestion, min-max scaling, stratified splits,
 and a synthetic generator for the game-telemetry schema with a controllable
-spurious correlation between one feature and the binary label.
+spurious correlation between one feature and the binary label. Datasets hold
+raw units; a network scales its own inputs (`tensornet.Network.input_bounds`).
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ __all__ = [
     "CAUSAL_FEATURES",
     "load_csv",
     "save_csv",
-    "normalize",
-    "apply_normalization",
-    "denormalize",
     "feature_bounds",
+    "scale",
     "one_hot",
     "subset",
     "train_test_split",
@@ -75,15 +74,13 @@ class DataError(ValueError):
 class Dataset:
     """Numeric feature columns plus a binary class label per row.
 
-    `normalization` records the per-feature (min, max) bounds the rows were
-    scaled with; None means the rows are in raw units. `origin` optionally
-    tags each row's provenance (real / smote / autoencoder).
+    `origin` optionally tags each row's provenance (real / smote /
+    autoencoder).
     """
 
     feature_names: tuple[str, ...]
     rows: np.ndarray
     labels: np.ndarray
-    normalization: tuple[tuple[float, float], ...] | None = None
     origin: np.ndarray | None = None
 
     def __post_init__(self):
@@ -129,50 +126,17 @@ def feature_bounds(data: Dataset) -> tuple[tuple[float, float], ...]:
     )
 
 
-def _scale(rows: np.ndarray, bounds) -> np.ndarray:
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+def scale(rows, bounds, out=None) -> np.ndarray:
+    """(x - lo) / (hi - lo) for each column of one row or a batch and its (lo, hi) in
+    `bounds`, into `out` if given. Values may leave [0, 1]; a constant feature (lo == hi)
+    maps to 0."""
+    bounds = np.asarray(bounds, dtype=np.float64)
+    lo, hi = bounds[:, 0], bounds[:, 1]
     span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    scaled = (rows - lo) / safe
-    return np.where(span > 0, scaled, 0.0)
-
-
-def normalize(data: Dataset) -> Dataset:
-    """Min-max scale every feature to [0, 1] using the data's own bounds.
-
-    Constant features map to 0. The bounds used are recorded on the result so
-    test data can be scaled consistently via `apply_normalization`.
-    """
-    if data.normalization is not None:
-        return data
-    bounds = feature_bounds(data)
-    return replace(data, rows=_scale(data.rows, bounds), normalization=bounds)
-
-
-def apply_normalization(data: Dataset, bounds) -> Dataset:
-    """Scale with externally supplied bounds (values may leave [0, 1]).
-
-    Idempotent: data already scaled with the same bounds is returned as-is;
-    scaling with *different* bounds on top of existing scaling is an error.
-    """
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    if len(bounds) != data.n_features:
-        raise DataError("bounds length mismatch")
-    if data.normalization is not None:
-        if tuple(data.normalization) == bounds:
-            return data
-        raise DataError("dataset already normalized with different bounds")
-    return replace(data, rows=_scale(data.rows, bounds), normalization=bounds)
-
-
-def denormalize(data: Dataset) -> Dataset:
-    """Invert min-max scaling using the bounds recorded on the dataset."""
-    if data.normalization is None:
-        return data
-    lo = np.array([b[0] for b in data.normalization])
-    hi = np.array([b[1] for b in data.normalization])
-    return replace(data, rows=data.rows * (hi - lo) + lo, normalization=None)
+    out = np.subtract(rows, lo, out=out)
+    out /= np.where(span > 0, span, 1.0)
+    out[..., ~(span > 0)] = 0.0
+    return out
 
 
 def one_hot(labels, classes) -> np.ndarray:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -172,15 +171,21 @@ def run_comparison(
     """Train and evaluate all four models with derived per-model seeds.
 
     All models are scored on the identical test rows; augmentation touches
-    training rows only. Rule compilation errors surface before any training.
+    training rows only, and every model scales with `train_data`'s bounds.
+    Rule compilation errors surface before any training.
     """
     train_config = train_config or tensornet.TrainConfig()
     compile_config = compile_config or kbann.CompileConfig()
     rules = rewrite_disjuncts(rules)
+    bounds = datakit.feature_bounds(train_data)
 
     def compiled_net(seed: int) -> tensornet.Network:
         cfg = replace(compile_config, seed=seed)
-        return kbann.compile_rules(rules, train_data.feature_names, CLASSES, cfg)
+        net = kbann.compile_rules(rules, train_data.feature_names, CLASSES, cfg)
+        return replace(net, input_bounds=bounds)
+
+    def baseline_net(seed: int) -> tensornet.Network:
+        return replace(build_baseline(train_data, seed), input_bounds=bounds)
 
     compiled_net(derive_seed(master_seed, "nsai-compile-check"))  # fail fast on rule/schema mismatch
 
@@ -191,37 +196,28 @@ def run_comparison(
         train_data, ae_config, seed=derive_seed(master_seed, "ae-sample")
     )
 
-    bounds = datakit.feature_bounds(train_data)
-    sources_raw = {
+    sources = {
         "deep_nn": train_data,
         "deep_nn_smote": smote_train,
         "deep_nn_autoencoder": ae_train,
         "nsai": train_data,
     }
-    sources = {
-        name: datakit.apply_normalization(data, bounds) for name, data in sources_raw.items()
-    }
-    test_n = datakit.apply_normalization(test_data, bounds)
-
-    builders = {
-        name: compiled_net if name == "nsai" else partial(build_baseline, sources[name])
-        for name in MODEL_NAMES
-    }
+    builders = {name: compiled_net if name == "nsai" else baseline_net for name in MODEL_NAMES}
     models: dict[str, tensornet.Network] = {}
     train_reports: dict[str, tensornet.TrainReport] = {}
     for name in MODEL_NAMES:
         seed = derive_seed(master_seed, name)
         models[name], train_reports[name] = _fit(builders[name], sources[name], seed, train_config)
 
-    truth = test_n.labels.astype(str)
+    truth = test_data.labels.astype(str)
     test_metrics = {}
     importances = {}
     for name in MODEL_NAMES:
-        preds = tensornet.predict_labels(models[name], test_n.rows).astype(str)
+        preds = tensornet.predict_labels(models[name], test_data.rows).astype(str)
         test_metrics[name] = compute_metrics(preds, truth, CLASSES)
         importances[name] = kbann.permutation_importance(
             models[name],
-            test_n,
+            test_data,
             spurious_feature,
             repeats=importance_repeats,
             seed=derive_seed(master_seed, f"perm-{name}"),
@@ -242,7 +238,7 @@ def run_comparison(
             ("test", test_data),
         ]
     )
-    nsai_rules = kbann.extract_rules(models["nsai"], sources["nsai"])
+    nsai_rules = kbann.extract_rules(models["nsai"], train_data)
 
     return ExperimentReport(
         master_seed=master_seed,

@@ -34,11 +34,12 @@ class FeatureStats:
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "FeatureStats":
-        return cls(
-            names=tuple(data.feature_names),
-            means=data.rows.mean(axis=0),
-            stds=data.rows.std(axis=0),
-        )
+        """Per-feature means and stds of `data`; if every feature is constant
+        there is nothing to perturb, and that is a ValueError."""
+        rows = data.rows
+        if (rows == rows[:1]).all():
+            raise ValueError(f"every feature is constant over the {data.n_rows} row(s); nothing to perturb")
+        return cls(names=tuple(data.feature_names), means=rows.mean(axis=0), stds=rows.std(axis=0))
 
 
 @dataclass
@@ -94,10 +95,12 @@ def lime_explain(
     """Fit a kernel-weighted linear surrogate to the positive-class probability
     around one instance and report its coefficients as feature importances.
 
-    Perturbations are Gaussian around the instance scaled by the per-feature
-    std; sample weights are exp(-d^2 / kernel_width^2) with d the Euclidean
-    distance in std-normalized space. kernel_width defaults to
-    0.75 * sqrt(n_features). Deterministic for a given seed.
+    `instance` and `stats` are in the units `predict_fn` takes: raw units for
+    a tensornet model, which scales its own inputs. Perturbations are Gaussian
+    around the instance scaled by the per-feature std; sample weights are
+    exp(-d^2 / kernel_width^2) with d the Euclidean distance in std-normalized
+    space. kernel_width defaults to 0.75 * sqrt(n_features). Deterministic for
+    a given seed.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_SAMPLES}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datakit import Dataset
+from .datakit import Dataset, scale
 from .rulelang import RuleSet, evaluate_boolean
 from .tensornet import Layer, Network, _sigmoid, forward, predict_labels
 
@@ -410,9 +410,10 @@ def extract_rules(net: Network, train_data: Dataset, group_tolerance: float = 0.
     """Threshold rules for every non-input unit of a knowledge-compiled net.
 
     Incoming weights cluster into near-equal groups (one term per group, the
-    group mean as its coefficient); the threshold is the negated bias.
-    Fidelity replays the training rows through the rule system — a unit fires
-    when its terms' weighted activation sum exceeds the threshold — and
+    group mean as its coefficient); the threshold is the negated bias, on
+    inputs scaled with the network's `input_bounds`. Fidelity replays the raw
+    training rows, scaled the same way, through the rule system — a unit
+    fires when its terms' weighted activation sum exceeds the threshold — and
     measures final-class agreement with the network itself.
     """
     if group_tolerance < 0:
@@ -425,13 +426,13 @@ def extract_rules(net: Network, train_data: Dataset, group_tolerance: float = 0.
     if train_data.n_rows == 0:
         raise ValueError("fidelity is undefined on an empty training set")
 
-    # Each layer's rules, then their replay: layer 0 sees the (normalized)
+    # Each layer's rules, then their replay: layer 0 sees the scaled
     # features, deeper layers the 0/1 firing pattern below. grouped[u, j] is
     # the mean weight of the group that source j falls in, so a unit's margin
     # is its grouped weighted sum minus its threshold; the final class is the
     # output unit with the best margin.
     rules = []
-    values = train_data.rows
+    values = scale(train_data.rows, net.input_bounds)
     for li, layer in enumerate(net.layers):
         sources = net.input_names if li == 0 else net.unit_labels[li - 1]
         grouped = np.empty_like(layer.weights)

@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .datakit import Dataset, _stratified_mask, one_hot
+from .datakit import Dataset, _stratified_mask, one_hot, scale
 
 __all__ = [
     "Layer",
@@ -47,6 +47,7 @@ OPTIMIZERS = ("adam", "sgd")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+MODEL_FORMAT_VERSION = 2  # version 1 files have no input bounds (bounds.npy)
 
 
 class TrainingError(RuntimeError):
@@ -138,16 +139,28 @@ class Layer:
 
 @dataclass
 class Network:
+    """Dense layers, their labels, and the per-input (lo, hi) bounds that `datakit.scale`
+    maps raw inputs with, once per call of `train` and of each prediction entry point
+    (`_forward_full`, `_backprop` and `total_loss` take scaled inputs). The default
+    (0, 1) is bit-exact identity."""
+
     layers: list[Layer]
     unit_labels: list[list[str]]
     input_names: list[str]
     output_names: list[str]
+    input_bounds: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("a network needs at least one layer")
         if self.layers[0].in_units != len(self.input_names):
             raise ValueError("input_names length must match first layer width")
+        if self.input_bounds is None:
+            self.input_bounds = np.tile([0.0, 1.0], (self.input_dim, 1))
+        bounds = self.input_bounds = np.asarray(self.input_bounds, dtype=np.float64)
+        ok = bounds.shape == (self.input_dim, 2) and np.isfinite(bounds).all()
+        if not (ok and (bounds[:, 0] <= bounds[:, 1]).all()):
+            raise ValueError("input_bounds must hold one finite (lo, hi) pair per input, lo <= hi")
         for a, b in zip(self.layers, self.layers[1:]):
             if b.in_units != a.out_units:
                 raise ValueError("adjacent layer dimensions are incompatible")
@@ -173,6 +186,7 @@ class Network:
             [list(labels) for labels in self.unit_labels],
             list(self.input_names),
             list(self.output_names),
+            self.input_bounds.copy(),
         )
 
     def has_knowledge_links(self) -> bool:
@@ -251,9 +265,9 @@ def _as_batch(net: Network, x):
 
 
 def forward(net: Network, x) -> list[np.ndarray]:
-    """Activations of every layer for one sample (1-D) or a batch (2-D)."""
+    """Activations of every layer for one raw sample (1-D) or a raw batch (2-D)."""
     batch, single = _as_batch(net, x)
-    _, acts = _forward_full(net, batch)
+    _, acts = _forward_full(net, scale(batch, net.input_bounds))
     return [a[0] if single else a for a in acts]
 
 
@@ -262,8 +276,8 @@ def predict_proba(net: Network, x) -> np.ndarray:
 
 
 def predictor(net: Network):
-    """A callable equal to ``partial(predict_proba, net)`` that reuses one
-    (z, a) buffer pair per layer across calls.
+    """A callable equal to ``partial(predict_proba, net)`` that reuses a
+    scaled-input buffer and one (z, a) buffer pair per layer across calls.
 
     The buffers grow to the largest batch seen; smaller batches use row-prefix
     slices of them. Fresh activations of a 1000-row batch are big enough that
@@ -271,14 +285,16 @@ def predictor(net: Network):
     in again dominates a caller that makes many passes, such as LIME. Each call
     returns a copy, so a held result is never overwritten by the next call.
     """
-    buffers = []
+    inputs, buffers = [], []
 
     def predict(x) -> np.ndarray:
         batch, single = _as_batch(net, x)
         rows = batch.shape[0]
-        if not buffers or buffers[0][0].shape[0] < rows:
+        if not inputs or inputs[0].shape[0] < rows:
+            inputs[:] = [np.empty((rows, net.input_dim))]
             buffers[:] = [(np.empty((rows, layer.out_units)), np.empty((rows, layer.out_units))) for layer in net.layers]
-        _, acts = _forward_full(net, batch, out=[(z[:rows], a[:rows]) for z, a in buffers])
+        scaled = scale(batch, net.input_bounds, out=inputs[0][:rows])
+        _, acts = _forward_full(net, scaled, out=[(z[:rows], a[:rows]) for z, a in buffers])
         return (acts[-1][0] if single else acts[-1]).copy()
 
     return predict
@@ -502,12 +518,14 @@ def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport
     """Train a private copy of `net`; returns the best-validation-epoch weights.
 
     `data` is a Dataset (targets are one-hot labels for cross-entropy, the
-    feature rows themselves for mean_squared_error) or an (x, targets) pair.
+    feature rows themselves for mean_squared_error) or an (x, targets) pair;
+    the inputs are raw and are scaled once with `net.input_bounds`.
     Early stopping fires after `patience` epochs without validation-score
     improvement: accuracy for cross-entropy, negated MSE otherwise. Weights
     under a True `frozen_mask` come back bit-identical to their inputs.
     """
     x, targets, labels = _resolve_training_arrays(net, data, config)
+    x = scale(x, net.input_bounds)
     model = net.copy()
     params, frozen = _share_parameters(model)
     initial = params[frozen]
@@ -642,14 +660,14 @@ def save_network(net: Network, path) -> None:
     """Write a lossless model file (fixed-timestamp zip of .npy arrays + JSON meta)."""
     meta = {
         "format": "hornnet-network",
-        "version": 1,
+        "version": MODEL_FORMAT_VERSION,
         "n_layers": len(net.layers),
         "activations": [l.activation for l in net.layers],
         "unit_labels": net.unit_labels,
         "input_names": net.input_names,
         "output_names": net.output_names,
     }
-    arrays = {}
+    arrays = {"bounds": net.input_bounds}
     for i, layer in enumerate(net.layers):
         arrays[f"w{i}"] = layer.weights
         arrays[f"b{i}"] = layer.biases
@@ -674,6 +692,8 @@ def load_network(path) -> Network:
             meta = json.loads(zf.read("meta.json"))
             if meta.get("format") != "hornnet-network":
                 raise ValueError("not a hornnet model file")
+            if (version := meta.get("version")) != MODEL_FORMAT_VERSION:
+                raise ValueError(f"model file format version {version} is not supported; retrain the model")
 
             def arr(name):
                 return np.lib.format.read_array(io.BytesIO(zf.read(f"{name}.npy")), allow_pickle=False)
@@ -682,7 +702,7 @@ def load_network(path) -> Network:
                 Layer(arr(f"w{i}"), arr(f"b{i}"), meta["activations"][i], arr(f"frozen{i}"), arr(f"knowledge{i}"))
                 for i in range(meta["n_layers"])
             ]
-        return Network(layers, meta["unit_labels"], meta["input_names"], meta["output_names"])
+            return Network(layers, meta["unit_labels"], meta["input_names"], meta["output_names"], arr("bounds"))
     # zlib.error: members are written stored, but a file from elsewhere may be deflated
     except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: unreadable model file: {exc}") from None

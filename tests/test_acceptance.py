@@ -7,12 +7,13 @@ lines as they complete.
 import hashlib
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from hornnet import augment, datakit, evalharness, explain, kbann, tensornet
 from hornnet.cli import main as cli_main
-from hornnet.datakit import Dataset, SynthConfig, apply_normalization, feature_bounds, generate_synthetic
+from hornnet.datakit import Dataset, SynthConfig, feature_bounds, generate_synthetic
 from hornnet.rulelang import evaluate_boolean, parse_rules, random_ruleset, rewrite_disjuncts
 
 CT_RULES = parse_rules(
@@ -146,19 +147,19 @@ def test_criterion_4_smote_geometry_and_counts():
     _check(4, "smote segment containment and exact class parity", ok, "50 random datasets")
 
 
-def _trained_nsai(train_norm, seed):
+def _trained_nsai(train_raw, seed):
     net = kbann.compile_rules(
-        CT_RULES, train_norm.feature_names, CLASSES, kbann.CompileConfig(seed=seed)
+        CT_RULES, train_raw.feature_names, CLASSES, kbann.CompileConfig(seed=seed)
     )
-    model, _ = tensornet.train(net, train_norm, tensornet.TrainConfig(seed=seed))
+    net = replace(net, input_bounds=feature_bounds(train_raw))
+    model, _ = tensornet.train(net, train_raw, tensornet.TrainConfig(seed=seed))
     return model
 
 
 def test_criterion_5_extraction_fidelity_and_completeness():
     train_raw, _ = generate_synthetic(SynthConfig(seed=0))
-    train_norm = apply_normalization(train_raw, feature_bounds(train_raw))
-    model = _trained_nsai(train_norm, seed=0)
-    extracted = kbann.extract_rules(model, train_norm)
+    model = _trained_nsai(train_raw, seed=0)
+    extracted = kbann.extract_rules(model, train_raw)
     mentioned = {a for rule in extracted.rules for _w, members in rule.terms for a in members}
     complete = set(train_raw.feature_names) <= mentioned
     _check(5, "rule-extraction fidelity and feature completeness",
@@ -171,22 +172,20 @@ def test_criterion_6_spurious_correlation_replication():
     imp_nsai, imp_base, acc_nsai, acc_base = [], [], [], []
     for seed in range(10):
         train_raw, test_raw = generate_synthetic(SynthConfig(seed=seed))
-        bounds = feature_bounds(train_raw)
-        train_norm = apply_normalization(train_raw, bounds)
-        test_norm = apply_normalization(test_raw, bounds)
-        truth = test_norm.labels.astype(str)
+        truth = test_raw.labels.astype(str)
 
-        nsai = _trained_nsai(train_norm, seed)
-        acc_nsai.append(float((tensornet.predict_labels(nsai, test_norm.rows).astype(str) == truth).mean()))
-        imp_nsai.append(kbann.permutation_importance(nsai, test_norm, "Small_cheese", repeats=5, seed=seed))
+        nsai = _trained_nsai(train_raw, seed)
+        acc_nsai.append(float((tensornet.predict_labels(nsai, test_raw.rows).astype(str) == truth).mean()))
+        imp_nsai.append(kbann.permutation_importance(nsai, test_raw, "Small_cheese", repeats=5, seed=seed))
 
         base = tensornet.build_mlp(
-            train_norm.n_features, [50, 50], 2, seed=seed,
-            input_names=list(train_norm.feature_names), class_names=list(CLASSES),
+            train_raw.n_features, [50, 50], 2, seed=seed,
+            input_names=list(train_raw.feature_names), class_names=list(CLASSES),
         )
-        base, _ = tensornet.train(base, train_norm, tensornet.TrainConfig(seed=seed))
-        acc_base.append(float((tensornet.predict_labels(base, test_norm.rows).astype(str) == truth).mean()))
-        imp_base.append(kbann.permutation_importance(base, test_norm, "Small_cheese", repeats=5, seed=seed))
+        base = replace(base, input_bounds=feature_bounds(train_raw))
+        base, _ = tensornet.train(base, train_raw, tensornet.TrainConfig(seed=seed))
+        acc_base.append(float((tensornet.predict_labels(base, test_raw.rows).astype(str) == truth).mean()))
+        imp_base.append(kbann.permutation_importance(base, test_raw, "Small_cheese", repeats=5, seed=seed))
 
     elapsed = time.time() - t0
     mean_imp_nsai, mean_imp_base = float(np.mean(imp_nsai)), float(np.mean(imp_base))

@@ -1,12 +1,14 @@
+import argparse
 import hashlib
 import json
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hornnet import datakit, evalharness, tensornet
+from hornnet import cli, datakit, evalharness, tensornet
 from hornnet.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "tiny_players.csv"
@@ -97,10 +99,10 @@ class TestTrain:
         argv = ["train", "--data", str(synth_dir / "train.csv"), "--seed", "7", "--max-epochs", "4"]
         assert main(argv + ["--out", str(out)]) == 0
         saved = tensornet.load_network(out / "model.npz")
-        data = datakit.normalize(datakit.load_csv(synth_dir / "train.csv"))
-        expected, _ = tensornet.train(
-            evalharness.build_baseline(data, 7), data, tensornet.TrainConfig(seed=7, max_epochs=4)
-        )
+        data = datakit.load_csv(synth_dir / "train.csv")
+        net = replace(evalharness.build_baseline(data, 7), input_bounds=datakit.feature_bounds(data))
+        expected, _ = tensornet.train(net, data, tensornet.TrainConfig(seed=7, max_epochs=4))
+        assert saved.input_bounds.tobytes() == expected.input_bounds.tobytes()
         for got, want in zip(saved.layers, expected.layers):
             assert np.array_equal(got.weights, want.weights)
             assert np.array_equal(got.biases, want.biases)
@@ -170,6 +172,86 @@ class TestEvaluateExplainExtract:
         assert (out / "mispredictions.txt").exists()
 
 
+def _save_columns(data: datakit.Dataset, order, path: Path) -> Path:
+    """`data` written to `path` with its feature columns in `order`."""
+    idx = [data.feature_names.index(name) for name in order]
+    datakit.save_csv(replace(data, feature_names=tuple(order), rows=data.rows[:, idx]), path)
+    return path
+
+
+class TestScoringInputs:
+    """A model scales raw rows with its own training bounds and matches CSV
+    columns by name, so a row's score does not depend on the file around it."""
+
+    @pytest.fixture
+    def nsai(self, tmp_path, synth_dir, rules_file):
+        out = tmp_path / "model"
+        argv = ["train", "--data", str(synth_dir / "train.csv"), "--rules", str(rules_file), "--seed", "7"]
+        assert main(argv + ["--out", str(out)]) == 0
+        return out / "model.npz"
+
+    def test_row_scores_the_same_in_any_file(self, tmp_path, synth_dir, nsai):
+        test = datakit.load_csv(synth_dir / "test.csv")
+        high = np.flatnonzero(test.labels == "High")
+        row = int(high[0])
+        datakit.save_csv(datakit.subset(test, [row]), tmp_path / "alone.csv")
+        datakit.save_csv(datakit.subset(test, high), tmp_path / "high.csv")
+        _save_columns(test, test.feature_names[::-1], tmp_path / "permuted.csv")
+        # each file and the position of the row in it
+        files = {
+            "alone": (tmp_path / "alone.csv", 0),
+            "high_only": (tmp_path / "high.csv", 0),
+            "full": (synth_dir / "test.csv", row),
+            "permuted": (tmp_path / "permuted.csv", row),
+        }
+        net = tensornet.load_network(nsai)
+        labels = tensornet.predict_labels(net, test.rows).astype(str)
+        for name, (path, _) in files.items():
+            out = tmp_path / f"eval-{name}"
+            assert main(["evaluate", "--model", str(nsai), "--data", str(path), "--out", str(out)]) == 0
+            scored = datakit.load_csv(path)
+            rows = {"alone": [row], "high_only": high}.get(name, np.arange(test.n_rows))
+            want = evalharness.compute_metrics(labels[rows], scored.labels.astype(str), datakit.CLASSES)
+            got = json.loads((out / "metrics.json").read_text())
+            assert got["confusion"] == want.confusion.tolist(), name
+
+        probs = {}
+        for name, (path, index) in files.items():
+            _, data = cli._scoring_inputs(argparse.Namespace(model_path=nsai, data=path))
+            probs[name] = tensornet.predict_proba(net, data.rows)[index]
+        assert len({p.tobytes() for p in probs.values()}) == 1
+
+    def test_permuted_columns_give_identical_outputs(self, tmp_path, synth_dir, nsai):
+        for command, csv, name in (("evaluate", "test.csv", "metrics.json"), ("extract", "train.csv", "rules.json")):
+            data = datakit.load_csv(synth_dir / csv)
+            permuted = _save_columns(data, data.feature_names[::-1], tmp_path / f"permuted-{csv}")
+            outputs = []
+            for path in (synth_dir / csv, permuted):
+                out = tmp_path / f"{command}-{path.stem}"
+                assert main([command, "--model", str(nsai), "--data", str(path), "--out", str(out)]) == 0
+                outputs.append((out / name).read_bytes())
+            assert outputs[0] == outputs[1], command
+
+    def test_missing_feature_column_is_runtime_error(self, tmp_path, synth_dir, nsai, capsys):
+        data = datakit.load_csv(synth_dir / "test.csv")
+        path = _save_columns(data, [n for n in data.feature_names if n != "Loop"], tmp_path / "no_loop.csv")
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(nsai), "--data", str(path), "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"hornnet: error: {path}: missing feature column(s) the model needs: Loop\n"
+
+    def test_explain_on_constant_rows_is_runtime_error(self, tmp_path, synth_dir, nsai, capsys):
+        data = datakit.load_csv(synth_dir / "test.csv")
+        path = tmp_path / "one.csv"
+        datakit.save_csv(datakit.subset(data, [0]), path)
+        capsys.readouterr()
+        argv = ["explain", "--model", str(nsai), "--data", str(path), "--samples", "60", "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hornnet: error: every feature is constant") and err.count("\n") == 1
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
+
 class TestCompare:
     def test_compare_runs_and_reproduces(self, tmp_path, rules_file):
         data = tmp_path / "d"
@@ -225,7 +307,7 @@ class TestFlagResolution:
         assert len((out / "train.csv").read_text().splitlines()) == 73
 
     def test_bad_positive_int_flag_names_no_function(self, tmp_path, capsys):
-        assert main(["synth", "--rows", "abc", "--out", str(tmp_path / "o")]) == 2
+        assert main(["train", "--data", str(FIXTURE), "--max-epochs", "abc", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "expected a positive integer, got 'abc'" in err
         assert "_positive_int" not in err
@@ -258,6 +340,9 @@ class TestFlagResolution:
             (["synth"], {}, {"test_r": "nan"}),
             (["extract", "--model", "m.npz", "--data", str(FIXTURE), "--tolerance", "-1"], {}, None),
             (["compare", "--train", "a", "--test", "b", "--rules", "r", "--cv-folds", "1"], {}, None),
+            (["synth", "--rows", "5"], {}, None),
+            (["train"], {}, None),
+            (["synth", "--bogus"], {}, None),
         ],
     )
     def test_bad_values_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv, env, config):
@@ -283,7 +368,7 @@ class TestFlagResolution:
         assert err.startswith(f"hornnet: error: {cfg}: config file is not valid JSON: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("damage", ["not_zip", "truncated", "member_missing"])
+    @pytest.mark.parametrize("damage", ["not_zip", "truncated", "member_missing", "version_1"])
     def test_bad_model_file_is_runtime_error(self, tmp_path, capsys, damage):
         good = tmp_path / "good"
         assert main(["train", "--data", str(FIXTURE), "--max-epochs", "2", "--out", str(good)]) == 0
@@ -293,13 +378,21 @@ class TestFlagResolution:
             bad.write_text("not a model\n")
         elif damage == "truncated":
             bad.write_bytes(raw[: len(raw) // 2])
-        else:
+        elif damage == "member_missing":
             with zipfile.ZipFile(good / "model.npz") as src, zipfile.ZipFile(bad, "w") as dst:
                 for info in src.infolist():
                     if info.filename != "w1.npy":
                         dst.writestr(info, src.read(info.filename))
+        else:  # a version-1 file: no input bounds
+            with zipfile.ZipFile(good / "model.npz") as src, zipfile.ZipFile(bad, "w") as dst:
+                for info in src.infolist():
+                    if info.filename == "meta.json":
+                        dst.writestr(info, json.dumps({**json.loads(src.read(info)), "version": 1}))
+                    elif info.filename != "bounds.npy":
+                        dst.writestr(info, src.read(info))
         capsys.readouterr()
         code = main(["evaluate", "--model", str(bad), "--data", str(FIXTURE), "--out", str(tmp_path / "e")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"hornnet: error: {bad}: ") and err.count("\n") == 1
+        assert damage != "version_1" or "format version 1 is not supported" in err

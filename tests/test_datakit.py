@@ -9,16 +9,14 @@ from hornnet.datakit import (
     DataError,
     Dataset,
     SynthConfig,
-    apply_normalization,
-    denormalize,
     feature_bounds,
     generate_synthetic,
     kfold_split,
     load_csv,
-    normalize,
     one_hot,
     point_biserial,
     save_csv,
+    scale,
     subset,
     train_test_split,
 )
@@ -78,40 +76,27 @@ class TestLoadCsv:
 class TestNormalization:
     def test_table_range_endpoint(self):
         data = Dataset(("Arrow",), np.array([[15.0], [180.0]]), np.array(["Low", "High"], object))
-        scaled = normalize(data)
-        assert scaled.rows[0, 0] == 0.0
-        assert scaled.rows[1, 0] == 1.0
+        scaled = scale(data.rows, feature_bounds(data))
+        assert scaled[0, 0] == 0.0
+        assert scaled[1, 0] == 1.0
 
     def test_value_below_train_min_goes_negative(self):
-        bounds = ((10.0, 20.0),)
-        data = Dataset(("f",), np.array([[5.0]]), np.array(["Low"], object))
-        scaled = apply_normalization(data, bounds)
-        assert scaled.rows[0, 0] == -0.5
-
-    def test_round_trip_inversion(self):
-        rng = np.random.default_rng(0)
-        data = Dataset(
-            ("a", "b"), rng.uniform(-5, 30, (20, 2)), np.array(["High"] * 20, object)
-        )
-        back = denormalize(normalize(data))
-        assert np.allclose(back.rows, data.rows, atol=1e-12)
+        assert scale(np.array([[5.0]]), ((10.0, 20.0),))[0, 0] == -0.5
 
     def test_constant_feature_maps_to_zero(self):
         data = Dataset(("c",), np.full((4, 1), 7.0), np.array(["High"] * 4, object))
-        assert np.all(normalize(data).rows == 0.0)
+        assert np.all(scale(data.rows, feature_bounds(data)) == 0.0)
 
-    def test_apply_twice_same_bounds_idempotent(self):
-        data = Dataset(("a",), np.array([[1.0], [3.0]]), np.array(["Low", "High"], object))
-        bounds = feature_bounds(data)
-        once = apply_normalization(data, bounds)
-        twice = apply_normalization(once, bounds)
-        assert np.array_equal(once.rows, twice.rows)
-
-    def test_apply_different_bounds_rejected(self):
-        data = Dataset(("a",), np.array([[1.0], [3.0]]), np.array(["Low", "High"], object))
-        once = normalize(data)
-        with pytest.raises(DataError, match="different bounds"):
-            apply_normalization(once, ((0.0, 10.0),))
+    def test_out_and_one_row_match_a_fresh_batch(self):
+        rng = np.random.default_rng(0)
+        rows = rng.uniform(-5, 30, (20, 3))
+        bounds = ((0.0, 10.0), (4.0, 4.0), (-5.0, 30.0))
+        fresh = scale(rows, bounds)
+        buf = np.empty_like(rows)
+        assert scale(rows, bounds, out=buf) is buf
+        assert np.array_equal(buf, fresh)
+        assert np.array_equal(scale(rows[3], bounds), fresh[3])
+        assert np.all(fresh[:, 1] == 0.0)
 
 
 class TestSplits:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,15 @@ class TestComparison:
         rules, train, test = small_setup
         a = report_to_json(run_comparison(train, test, rules, master_seed=9, cv_folds=3))
         b = report_to_json(run_comparison(train, test, rules, master_seed=9, cv_folds=3))
+        assert a == b
+
+    def test_report_independent_of_feature_units(self, small_setup):
+        # every model scales with the training bounds, and a power-of-two
+        # unit change scales rows and bounds exactly
+        rules, train, test = small_setup
+        scaled = [replace(data, rows=data.rows * 1024.0) for data in (train, test)]
+        a = report_to_json(run_comparison(train, test, rules, master_seed=9, cv_folds=3))
+        b = report_to_json(run_comparison(*scaled, rules, master_seed=9, cv_folds=3))
         assert a == b
 
     def test_cv_rows_covered_once(self, small_setup):

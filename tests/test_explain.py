@@ -89,17 +89,34 @@ class TestGlobal:
         assert out.mean_abs["f1"] < 1e-3
         assert out.mean_abs["f0"] > 0.01
 
-    def test_single_instance_equals_local(self):
+    def test_global_is_mean_of_locals(self):
         model = logistic_model([1.5, -0.5])
-        data = self._dataset(np.array([[0.2, 0.4]]), ["High"])
+        rows = np.array([[0.2, 0.4], [-0.3, 0.9]])
+        data = self._dataset(rows, ["High", "Low"])
         out = global_explain(model, data, n_samples=400, seed=6)
-        local = lime_explain(
-            model, np.array([0.2, 0.4]), FeatureStats.from_dataset(data),
-            n_samples=400, seed=np.random.SeedSequence((6, 0)), instance_id=0, true_label="High",
-        )
-        for name, _v, imp in local.contributions:
-            assert out.mean_signed[name] == pytest.approx(imp)
-            assert out.mean_abs[name] == pytest.approx(abs(imp))
+        stats = FeatureStats.from_dataset(data)
+        locals_ = [
+            {name: imp for name, _v, imp in lime_explain(
+                model, rows[i], stats, n_samples=400, seed=np.random.SeedSequence((6, i))
+            ).contributions}
+            for i in range(2)
+        ]
+        for name in data.feature_names:
+            imps = [local[name] for local in locals_]
+            assert out.mean_signed[name] == pytest.approx(np.mean(imps))
+            assert out.mean_abs[name] == pytest.approx(np.mean(np.abs(imps)))
+
+    @pytest.mark.parametrize("rows", [[[0.2, 0.4]], [[0.2, 0.4]] * 3], ids=["one_row", "repeated_row"])
+    def test_constant_rows_rejected(self, rows):
+        data = self._dataset(np.array(rows), ["High"] * len(rows))
+        with pytest.raises(ValueError, match="every feature is constant"):
+            FeatureStats.from_dataset(data)
+        with pytest.raises(ValueError, match="every feature is constant"):
+            global_explain(constant_model, data, seed=0)
+
+    def test_one_varying_feature_is_enough(self):
+        data = self._dataset(np.array([[0.2, 0.4], [0.2, 0.5]]), ["High", "Low"])
+        assert FeatureStats.from_dataset(data).stds.tolist() == [0.0, pytest.approx(0.05)]
 
     def test_symmetric_model_symmetric_importance(self):
         rng = np.random.default_rng(7)

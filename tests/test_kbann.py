@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -289,18 +290,16 @@ class TestMatmulReplay:
 
 
 class TestPermutationImportance:
-    def indicator_net(self):
-        # pure threshold on the single feature: High iff x > 0.5
-        hidden = Layer(np.array([[40.0]]), np.array([-20.0]), "sigmoid", knowledge_mask=np.array([[True]]))
+    def indicator_net(self, inputs=("f",)):
+        # pure threshold on the first feature: High iff x > 0.5; any others are ignored
+        weights = np.zeros((1, len(inputs)))
+        weights[0, 0] = 40.0
+        hidden = Layer(weights, np.array([-20.0]), "sigmoid", knowledge_mask=weights != 0)
         out = Layer(np.array([[-8.0], [8.0]]), np.array([4.0, -4.0]), "softmax")
-        return Network([hidden, out], [["ind"], ["Low", "High"]], ["f"], ["Low", "High"])
+        return Network([hidden, out], [["ind"], ["Low", "High"]], list(inputs), ["Low", "High"])
 
     def test_unused_feature_importance_zero(self):
-        net = self.indicator_net()
-        # add an ignored second feature
-        net.layers[0] = Layer(np.array([[40.0, 0.0]]), np.array([-20.0]), "sigmoid",
-                              knowledge_mask=np.array([[True, False]]))
-        net.input_names = ["f", "g"]
+        net = self.indicator_net(("f", "g"))
         rng = np.random.default_rng(0)
         rows = np.column_stack([rng.uniform(0, 1, 40), rng.uniform(0, 1, 40)])
         labels = np.where(rows[:, 0] > 0.5, "High", "Low").astype(object)
@@ -319,10 +318,7 @@ class TestPermutationImportance:
         assert imp == pytest.approx(0.5, abs=0.05)
 
     def test_deterministic(self, toy_dataset):
-        net = self.indicator_net()
-        net.layers[0] = Layer(np.array([[40.0, 0.0, 0.0]]), np.array([-20.0]), "sigmoid",
-                              knowledge_mask=np.array([[True, False, False]]))
-        net.input_names = ["signal", "n1", "n2"]
+        net = self.indicator_net(("signal", "n1", "n2"))
         a = permutation_importance(net, toy_dataset, "signal", repeats=5, seed=7)
         b = permutation_importance(net, toy_dataset, "signal", repeats=5, seed=7)
         assert a == b
@@ -334,11 +330,10 @@ class TestPermutationImportance:
 
 class TestTrainedPipeline:
     def test_compile_train_verify_fidelity(self, ct_rules, game_features):
-        from hornnet.datakit import SynthConfig, apply_normalization, feature_bounds, generate_synthetic
+        from hornnet.datakit import SynthConfig, feature_bounds, generate_synthetic
 
-        train_raw, _ = generate_synthetic(SynthConfig(seed=0))
-        data = apply_normalization(train_raw, feature_bounds(train_raw))
+        data, _ = generate_synthetic(SynthConfig(seed=0))
         net = compile_rules(ct_rules, data.feature_names, ["Low", "High"], CompileConfig(seed=0))
-        trained, _ = train(net, data, TrainConfig(seed=0))
+        trained, _ = train(replace(net, input_bounds=feature_bounds(data)), data, TrainConfig(seed=0))
         extracted = extract_rules(trained, data)
         assert extracted.fidelity >= 0.9

@@ -1,10 +1,11 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hornnet import tensornet
-from hornnet.datakit import CLASSES, Dataset, SynthConfig, generate_synthetic, normalize
+from hornnet.datakit import CLASSES, Dataset, SynthConfig, feature_bounds, generate_synthetic, scale
 from hornnet.kbann import CompileConfig, compile_rules
 from hornnet.tensornet import (
     Layer,
@@ -97,16 +98,61 @@ class TestForward:
             forward(net, np.zeros(5))
 
 
+class TestInputBounds:
+    BOUNDS = [(0.0, 10.0), (-2.0, 2.0), (5.0, 5.0)]
+
+    def test_default_bounds_are_identity(self):
+        net = build_mlp(3, [4], 2, seed=1)
+        assert net.input_bounds.tolist() == [[0.0, 1.0]] * 3
+        x = np.random.default_rng(1).normal(scale=5.0, size=(20, 3))
+        _, acts = tensornet._forward_full(net, x)
+        assert predict_proba(net, x).tobytes() == acts[-1].tobytes()
+
+    def test_raw_inputs_scaled_with_the_bounds(self):
+        plain = build_mlp(3, [4], 2, seed=1)
+        bounded = replace(plain, input_bounds=self.BOUNDS)
+        x = np.random.default_rng(2).uniform(-5.0, 15.0, size=(20, 3))
+        want = predict_proba(plain, scale(x, self.BOUNDS))
+        assert predict_proba(bounded, x).tobytes() == want.tobytes()
+        assert predict_proba(bounded, x[4]).tobytes() == want[4].tobytes()
+
+    def test_train_scales_its_rows_once(self, toy_dataset):
+        bounds = feature_bounds(toy_dataset)
+        config = TrainConfig(seed=3, max_epochs=4, batch_size=8)
+        net = build_mlp(3, [5], 2, seed=3, class_names=["Low", "High"])
+        got, _ = train(replace(net, input_bounds=bounds), toy_dataset, config)
+        want, _ = train(net, replace(toy_dataset, rows=scale(toy_dataset.rows, bounds)), config)
+        for a, b in zip(got.layers, want.layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+        assert np.array_equal(got.input_bounds, bounds)
+
+    @pytest.mark.parametrize(
+        "bounds", [[(0.0, 1.0)] * 2, [(0.0, 1.0), (1.0, 0.0), (0.0, 1.0)], [(0.0, np.inf)] * 3]
+    )
+    def test_bad_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="input_bounds"):
+            replace(build_mlp(3, [4], 2, seed=1), input_bounds=bounds)
+
+    def test_copy_owns_its_bounds(self):
+        net = replace(build_mlp(3, [4], 2, seed=1), input_bounds=self.BOUNDS)
+        clone = net.copy()
+        clone.input_bounds[0, 1] = 99.0
+        assert net.input_bounds[0, 1] == 10.0
+
+
 class TestPredictor:
     def net(self, kind, ct_rules, game_features):
         if kind == "relu_softmax":
             return build_mlp(9, [50, 50], 2, seed=3)
+        if kind == "bounded":
+            bounds = [(float(-j), float(2 * j)) for j in range(9)]  # feature 0 is constant
+            return replace(build_mlp(9, [50, 50], 2, seed=3), input_bounds=bounds)
         if kind == "sigmoid":
             return compile_rules(ct_rules, game_features, CLASSES, CompileConfig(seed=3))
         specs = [(4, "relu"), (2, "relu"), (4, "relu"), (9, "linear")]
         return build_network(9, specs, seed=3)
 
-    @pytest.mark.parametrize("kind", ["relu_softmax", "sigmoid", "linear"])
+    @pytest.mark.parametrize("kind", ["relu_softmax", "sigmoid", "linear", "bounded"])
     def test_bit_equal_to_predict_proba(self, kind, ct_rules, game_features):
         net = self.net(kind, ct_rules, game_features)
         predict = predictor(net)
@@ -275,6 +321,7 @@ def _reference_train(net, data, config):
     two forward passes per batch, Adam or SGD layer by layer, and a
     per-layer best-epoch snapshot, restore and frozen restore."""
     x, targets, labels = tensornet._resolve_training_arrays(net, data, config)
+    x = scale(x, net.input_bounds)
     model = net.copy()
     initial = [(layer.weights.copy(), layer.frozen_mask.copy()) for layer in model.layers]
     train_idx, val_idx = validation_split(x.shape[0], config.validation_fraction, config.seed, labels)
@@ -353,11 +400,10 @@ class TestFlatParameterTraining:
             return net, toy_dataset, TrainConfig(seed=4, max_epochs=12, batch_size=8)
         if name == "compiled_frozen":
             raw, _ = generate_synthetic(SynthConfig(n_rows=150, n_test=20, seed=5))
-            data = normalize(raw)
             config = CompileConfig(seed=5, freeze_knowledge_links=True)
-            net = compile_rules(ct_rules, data.feature_names, CLASSES, config)
+            net = compile_rules(ct_rules, raw.feature_names, CLASSES, config)
             assert any(layer.frozen_mask.any() for layer in net.layers)
-            return net, data, TrainConfig(seed=5, max_epochs=8)
+            return replace(net, input_bounds=feature_bounds(raw)), raw, TrainConfig(seed=5, max_epochs=8)
         if name == "autoencoder_mse":
             specs = [(4, "relu"), (2, "relu"), (4, "relu"), (3, "linear")]
             net = build_network(3, specs, seed=6)
@@ -458,6 +504,8 @@ class TestGradientCheck:
 class TestSerialization:
     def test_round_trip_lossless(self, tmp_path):
         net = build_mlp(5, [7, 3], 2, seed=42, class_names=["Low", "High"])
+        net.input_bounds[:, 0] = [-1.5, 0.0, 2.0, 1e-300, 7.0]
+        net.input_bounds[:, 1] = [3.25, 0.0, 2.5, 1e300, 7.0]
         net.layers[0].knowledge_mask[1, 2] = True
         net.layers[0].frozen_mask = net.layers[0].knowledge_mask.copy()
         path = tmp_path / "model.npz"
@@ -471,6 +519,7 @@ class TestSerialization:
             assert a.activation == b.activation
         assert loaded.unit_labels == net.unit_labels
         assert loaded.output_names == net.output_names
+        assert loaded.input_bounds.tobytes() == net.input_bounds.tobytes()
 
     def test_model_file_bytes_reproducible(self, tmp_path):
         net = build_mlp(3, [4], 2, seed=1)
