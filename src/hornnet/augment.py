@@ -63,18 +63,15 @@ def _append_rows(data: Dataset, rows: np.ndarray, label: str, tag: str) -> Datas
 @dataclass
 class SmoteConfig:
     k_neighbors: int = 5
-    target: str | float = "equalize"  # "equalize" or a minority/majority ratio
     seed: int = 0
 
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise AugmentError("k_neighbors must be >= 1")
-        if not (self.target == "equalize" or (isinstance(self.target, (int, float)) and self.target > 0)):
-            raise AugmentError("target must be 'equalize' or a positive ratio")
 
 
 def smote(data: Dataset, config: SmoteConfig | None = None) -> Dataset:
-    """Append interpolated minority rows until the class target is met.
+    """Append interpolated minority rows until the classes are equal.
 
     Each synthetic point is x_i + lambda * (x_nn - x_i) with lambda uniform in
     [0, 1] and x_nn one of x_i's k nearest minority neighbors (Euclidean on
@@ -83,12 +80,9 @@ def smote(data: Dataset, config: SmoteConfig | None = None) -> Dataset:
     """
     config = config or SmoteConfig()
     minority, n_min, majority, n_maj = _minority_majority(data)
-    if config.target == "equalize":
-        n_new = n_maj - n_min
-    else:
-        n_new = max(0, int(round(float(config.target) * n_maj)) - n_min)
+    n_new = n_maj - n_min
     if n_new == 0:
-        log.warning("smote: classes already satisfy the target; returning input unchanged")
+        log.warning("smote: classes already equal; returning input unchanged")
         return data
     if n_min < 2:
         raise AugmentError(f"minority class {minority!r} needs at least 2 samples")
@@ -185,7 +179,6 @@ def _closest(points: np.ndarray, rows: np.ndarray, candidates: np.ndarray, k: in
 class AutoencoderConfig:
     encoder_widths: tuple[int, ...] = (8, 4, 2)
     decoder_widths: tuple[int, ...] = (4, 8)
-    output_width: int | None = None  # defaults to the feature count
     train: TrainConfig = field(
         default_factory=lambda: TrainConfig(loss="mean_squared_error")
     )
@@ -211,23 +204,20 @@ def train_autoencoder(data: Dataset, config: AutoencoderConfig | None = None) ->
     config = config or AutoencoderConfig()
     if data.n_rows < 2:
         raise AugmentError("need at least 2 samples to train an autoencoder")
-    out_width = config.output_width or data.n_features
     specs = (
         [(w, "relu") for w in config.encoder_widths]
         + [(w, "relu") for w in config.decoder_widths]
-        + [(out_width, "linear")]
+        + [(data.n_features, "linear")]
     )
     net = build_network(
         data.n_features,
         specs,
         seed=config.train.seed,
         input_names=list(data.feature_names),
-        output_names=list(data.feature_names)[:out_width]
-        if out_width <= data.n_features
-        else [f"out{i}" for i in range(out_width)],
+        output_names=list(data.feature_names),
     )
     train_cfg = replace(config.train, loss="mean_squared_error")
-    trained, report = train(net, (data.rows, data.rows[:, :out_width]), train_cfg)
+    trained, report = train(net, (data.rows, data.rows), train_cfg)
     return Autoencoder(
         network=trained,
         bottleneck_layer=len(config.encoder_widths) - 1,

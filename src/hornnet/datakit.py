@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "NEGATIVE_CLASS",
     "FEATURE_STATS",
     "CAUSAL_FEATURES",
+    "SPURIOUS_FEATURE",
     "load_csv",
     "save_csv",
     "feature_bounds",
@@ -64,6 +65,14 @@ FEATURE_STATS: dict[str, tuple[float, float, float, float]] = {
 
 # Features the default knowledge rules treat as causally tied to the label.
 CAUSAL_FEATURES = ("Conditional", "Loop", "Debug", "Simulation", "Function")
+
+# The feature the generator ties to the label by a calibrated correlation alone,
+# and whose permutation importance the model comparison reports.
+SPURIOUS_FEATURE = "Small_cheese"
+
+# (P(mastered | High), P(mastered | Low)) of each causal feature: the knowledge
+# rules describe the High class nearly deterministically (0.9975^5 ~ 0.988).
+_MASTERY_PROBS = (0.5 + 0.4975, 0.5 - 0.32)
 
 
 class DataError(ValueError):
@@ -180,6 +189,8 @@ def load_csv(path) -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        if duplicates := sorted({h for h in header if header.count(h) > 1}):
+            raise DataError(f"{path}: duplicate column name(s): {', '.join(duplicates)}")
         if LABEL_COLUMN not in header:
             raise DataError(f"{path}: missing required column {LABEL_COLUMN!r}")
         label_idx = header.index(LABEL_COLUMN)
@@ -309,25 +320,18 @@ class SynthConfig:
 
     The five causal features are drawn bimodally from a per-row "mastery"
     indicator correlated with the label, so the bundled knowledge rules
-    approximately describe the generative process. The spurious feature is
-    calibrated per realization (bisection on the label/noise mixing
-    coefficient, after range clipping) to hit the requested point-biserial
-    correlation; train and test get different targets.
+    approximately describe the generative process. The spurious feature
+    (`SPURIOUS_FEATURE`) is calibrated per realization (bisection on the
+    label/noise mixing coefficient, after range clipping) to hit the requested
+    point-biserial correlation; train and test get different targets.
     """
 
     n_rows: int = 427
     n_test: int = 85
     class_ratio: float = 364 / 427
-    spurious_feature: str = "Small_cheese"
     train_spurious_r: float = 0.887
     test_spurious_r: float = 0.632
-    causal_weights: dict[str, float] = field(
-        default_factory=lambda: {name: 1.0 for name in CAUSAL_FEATURES}
-    )
     seed: int = 0
-    feature_stats: dict[str, tuple[float, float, float, float]] = field(
-        default_factory=lambda: dict(FEATURE_STATS)
-    )
 
     def __post_init__(self):
         if self.n_rows < 10 or self.n_test < 10:
@@ -337,8 +341,6 @@ class SynthConfig:
         for r in (self.train_spurious_r, self.test_spurious_r):
             if not abs(r) < 1:
                 raise DataError("spurious correlation targets must satisfy |r| < 1")
-        if self.spurious_feature not in self.feature_stats:
-            raise DataError(f"unknown spurious feature {self.spurious_feature!r}")
 
 
 def point_biserial(values: np.ndarray, labels) -> float:
@@ -389,27 +391,20 @@ def _calibrated_spurious(y01, stats, target_r, rng) -> np.ndarray:
     return column(a_hi)
 
 
-def _mastery_probs(weight: float) -> tuple[float, float]:
-    # (P(mastered | High), P(mastered | Low)); at weight 1 the knowledge rules
-    # describe the High class nearly deterministically (0.9975^5 ~ 0.988).
-    w = min(max(weight, 0.0), 1.0)
-    return 0.5 + 0.4975 * w, 0.5 - 0.32 * w
-
-
 def _generate_split(n, spurious_r, config: SynthConfig, rng) -> Dataset:
     labels = _exact_labels(n, config.class_ratio, rng)
     y01 = (labels == POSITIVE_CLASS).astype(np.float64)
-    feature_names = tuple(config.feature_stats)
+    feature_names = tuple(FEATURE_STATS)
     columns = {}
 
-    for name, stats in config.feature_stats.items():
+    for name, stats in FEATURE_STATS.items():
         lo, hi, mean, std = stats
-        if name == config.spurious_feature:
+        if name == SPURIOUS_FEATURE:
             columns[name] = _calibrated_spurious(y01, stats, spurious_r, rng)
-        elif name in config.causal_weights:
+        elif name in CAUSAL_FEATURES:
             # Bimodal bands: mastered rows sit high enough in the range that a
             # compiled conjunction over them clears its threshold crisply.
-            q_hi, q_lo = _mastery_probs(config.causal_weights[name])
+            q_hi, q_lo = _MASTERY_PROBS
             mastered = rng.random(n) < np.where(y01 == 1.0, q_hi, q_lo)
             span = hi - lo
             centers = np.where(mastered, lo + 0.88 * span, lo + 0.12 * span)
@@ -428,8 +423,8 @@ def _generate_split(n, spurious_r, config: SynthConfig, rng) -> Dataset:
         "synthetic split: n=%d, %s, r(%s)=%.4f (target %.3f)",
         n,
         data.class_counts(),
-        config.spurious_feature,
-        point_biserial(data.column(config.spurious_feature), labels),
+        SPURIOUS_FEATURE,
+        point_biserial(data.column(SPURIOUS_FEATURE), labels),
         spurious_r,
     )
     return data

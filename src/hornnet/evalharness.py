@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 
 MODEL_NAMES = ("deep_nn", "deep_nn_smote", "deep_nn_autoencoder", "nsai")
 BASELINE_HIDDEN = (50, 50)
+IMPORTANCE_REPEATS = 5  # shuffles of the spurious feature per permutation importance
 
 
 @dataclass
@@ -116,11 +117,11 @@ def derive_seed(master_seed: int, tag: str) -> int:
 class ExperimentReport:
     master_seed: int
     test_metrics: dict[str, Metrics]
+    cv_folds: int
     cv_accuracy: dict[str, tuple[float, float]]  # mean, std over folds
     correlations: dict[str, dict[str, float]]
     correlation_flags: list[tuple[str, str]]
-    spurious_feature: str
-    permutation_importances: dict[str, float]
+    permutation_importances: dict[str, float]  # of datakit.SPURIOUS_FEATURE
     nsai_rules: kbann.ExtractedRuleSet
     train_reports: dict[str, tensornet.TrainReport]
 
@@ -138,17 +139,16 @@ def build_baseline(data: Dataset, seed: int) -> tensornet.Network:
     )
 
 
-def _fit(builder, source: Dataset, seed: int, train_config):
+def _fit(builder, source: Dataset, seed: int):
     """Build a net with `seed` and train it on `source` with the same seed."""
-    cfg = replace(train_config, seed=seed, loss="cross_entropy")
-    return tensornet.train(builder(seed), source, cfg)
+    return tensornet.train(builder(seed), source, tensornet.TrainConfig(seed=seed))
 
 
-def _cross_validate(source: Dataset, k: int, seed: int, train_config, builder) -> tuple[float, float]:
+def _cross_validate(source: Dataset, k: int, seed: int, builder) -> tuple[float, float]:
     scores = []
     for fold, (train_idx, val_idx) in enumerate(datakit.kfold_split(source, k, seed)):
         fold_seed = derive_seed(seed, f"fold{fold}")
-        trained, _ = _fit(builder, datakit.subset(source, train_idx), fold_seed, train_config)
+        trained, _ = _fit(builder, datakit.subset(source, train_idx), fold_seed)
         val = datakit.subset(source, val_idx)
         preds = tensornet.predict_labels(trained, val.rows).astype(str)
         scores.append(float((preds == val.labels.astype(str)).mean()))
@@ -160,27 +160,22 @@ def run_comparison(
     test_data: Dataset,
     rules: RuleSet,
     master_seed: int = 0,
-    train_config: tensornet.TrainConfig | None = None,
-    compile_config: kbann.CompileConfig | None = None,
-    smote_config: augment.SmoteConfig | None = None,
-    ae_config: augment.AutoencoderConfig | None = None,
-    spurious_feature: str = "Small_cheese",
     cv_folds: int = 10,
-    importance_repeats: int = 5,
 ) -> ExperimentReport:
     """Train and evaluate all four models with derived per-model seeds.
 
-    All models are scored on the identical test rows; augmentation touches
-    training rows only, and every model scales with `train_data`'s bounds.
-    Rule compilation errors surface before any training.
+    Every model trains with the default `TrainConfig`, and the knowledge model
+    compiles with the default `CompileConfig`. All models are scored on the
+    identical test rows; augmentation touches training rows only, and every
+    model scales with `train_data`'s bounds. Permutation importance shuffles
+    `datakit.SPURIOUS_FEATURE`. Rule compilation errors surface before any
+    training.
     """
-    train_config = train_config or tensornet.TrainConfig()
-    compile_config = compile_config or kbann.CompileConfig()
     rules = rewrite_disjuncts(rules)
     bounds = datakit.feature_bounds(train_data)
 
     def compiled_net(seed: int) -> tensornet.Network:
-        cfg = replace(compile_config, seed=seed)
+        cfg = kbann.CompileConfig(seed=seed)
         net = kbann.compile_rules(rules, train_data.feature_names, CLASSES, cfg)
         return replace(net, input_bounds=bounds)
 
@@ -189,12 +184,8 @@ def run_comparison(
 
     compiled_net(derive_seed(master_seed, "nsai-compile-check"))  # fail fast on rule/schema mismatch
 
-    smote_train = augment.smote(
-        train_data, smote_config or augment.SmoteConfig(seed=derive_seed(master_seed, "smote"))
-    )
-    ae_train = augment.balance_with_autoencoder(
-        train_data, ae_config, seed=derive_seed(master_seed, "ae-sample")
-    )
+    smote_train = augment.smote(train_data, augment.SmoteConfig(seed=derive_seed(master_seed, "smote")))
+    ae_train = augment.balance_with_autoencoder(train_data, seed=derive_seed(master_seed, "ae-sample"))
 
     sources = {
         "deep_nn": train_data,
@@ -207,7 +198,7 @@ def run_comparison(
     train_reports: dict[str, tensornet.TrainReport] = {}
     for name in MODEL_NAMES:
         seed = derive_seed(master_seed, name)
-        models[name], train_reports[name] = _fit(builders[name], sources[name], seed, train_config)
+        models[name], train_reports[name] = _fit(builders[name], sources[name], seed)
 
     truth = test_data.labels.astype(str)
     test_metrics = {}
@@ -218,15 +209,13 @@ def run_comparison(
         importances[name] = kbann.permutation_importance(
             models[name],
             test_data,
-            spurious_feature,
-            repeats=importance_repeats,
+            datakit.SPURIOUS_FEATURE,
+            repeats=IMPORTANCE_REPEATS,
             seed=derive_seed(master_seed, f"perm-{name}"),
         )
 
     cv_accuracy = {
-        name: _cross_validate(
-            sources[name], cv_folds, derive_seed(master_seed, f"cv-{name}"), train_config, builders[name]
-        )
+        name: _cross_validate(sources[name], cv_folds, derive_seed(master_seed, f"cv-{name}"), builders[name])
         for name in MODEL_NAMES
     }
 
@@ -243,10 +232,10 @@ def run_comparison(
     return ExperimentReport(
         master_seed=master_seed,
         test_metrics=test_metrics,
+        cv_folds=cv_folds,
         cv_accuracy=cv_accuracy,
         correlations=correlations,
         correlation_flags=flags,
-        spurious_feature=spurious_feature,
         permutation_importances=importances,
         nsai_rules=nsai_rules,
         train_reports=train_reports,
@@ -306,7 +295,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "cv_accuracy": {k: {"mean": v[0], "std": v[1]} for k, v in report.cv_accuracy.items()},
         "correlations": report.correlations,
         "correlation_flags": [list(f) for f in report.correlation_flags],
-        "spurious_feature": report.spurious_feature,
+        "spurious_feature": datakit.SPURIOUS_FEATURE,
         "permutation_importances": report.permutation_importances,
         "nsai_rules": kbann.extracted_rules_to_dict(report.nsai_rules),
         "epochs_run": {k: v.epochs_run for k, v in report.train_reports.items()},
@@ -323,7 +312,7 @@ def render_report_text(report: ExperimentReport) -> str:
         "",
         "Test-set performance",
         render_metrics_table(report.test_metrics),
-        "10-fold cross-validation accuracy (mean +- std)",
+        f"{report.cv_folds}-fold cross-validation accuracy (mean +- std)",
     ]
     for name, (mean, std) in report.cv_accuracy.items():
         parts.append(f"  {name:<22}{100 * mean:.2f} +- {100 * std:.2f}")
@@ -331,7 +320,7 @@ def render_report_text(report: ExperimentReport) -> str:
         "",
         "Feature/label correlations",
         render_correlation_table(report.correlations),
-        f"Permutation importance of {report.spurious_feature} (accuracy drop)",
+        f"Permutation importance of {datakit.SPURIOUS_FEATURE} (accuracy drop)",
     ]
     for name, imp in report.permutation_importances.items():
         parts.append(f"  {name:<22}{imp:.4f}")

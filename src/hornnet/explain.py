@@ -24,6 +24,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 MIN_SAMPLES = 50  # fewest perturbations `lime_explain` fits a surrogate to
+KERNEL_WIDTH_SCALE = 0.75  # `lime_explain`'s kernel width is this times sqrt(feature count)
 
 
 @dataclass
@@ -86,11 +87,9 @@ def lime_explain(
     instance,
     stats: FeatureStats,
     n_samples: int = 1000,
-    kernel_width: float | None = None,
     seed=0,
     instance_id: int = 0,
     true_label: str | None = None,
-    class_names=CLASSES,
 ) -> Explanation:
     """Fit a kernel-weighted linear surrogate to the positive-class probability
     around one instance and report its coefficients as feature importances.
@@ -99,15 +98,14 @@ def lime_explain(
     a tensornet model, which scales its own inputs. Perturbations are Gaussian
     around the instance scaled by the per-feature std; sample weights are
     exp(-d^2 / kernel_width^2) with d the Euclidean distance in std-normalized
-    space. kernel_width defaults to 0.75 * sqrt(n_features). Deterministic for
-    a given seed.
+    space and kernel_width = KERNEL_WIDTH_SCALE * sqrt(n_features). The
+    prediction is named from `CLASSES`. Deterministic for a given seed.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {MIN_SAMPLES}")
     instance = np.asarray(instance, dtype=np.float64)
     d = instance.shape[0]
-    if kernel_width is None:
-        kernel_width = 0.75 * np.sqrt(d)
+    kernel_width = KERNEL_WIDTH_SCALE * np.sqrt(d)
     rng = np.random.default_rng(seed)
 
     stds = np.asarray(stats.stds, dtype=np.float64)
@@ -125,7 +123,7 @@ def lime_explain(
     importances = beta[1:]
 
     inst_probs = np.asarray(predict_fn(instance[None, :]), dtype=np.float64)[0]
-    predicted = class_names[int(inst_probs.argmax())]
+    predicted = CLASSES[int(inst_probs.argmax())]
     contributions = sorted(
         zip(stats.names, instance.tolist(), importances.tolist()),
         key=lambda c: abs(c[2]),
@@ -140,7 +138,7 @@ def lime_explain(
     )
 
 
-def _explain_row(predict_fn, data: Dataset, i, stats, n_samples, kernel_width, seed, class_names=CLASSES):
+def _explain_row(predict_fn, data: Dataset, i, stats, n_samples, seed):
     """`lime_explain` of row i, seeded from (seed, i) so that results do not
     depend on evaluation order."""
     return lime_explain(
@@ -148,17 +146,13 @@ def _explain_row(predict_fn, data: Dataset, i, stats, n_samples, kernel_width, s
         data.rows[i],
         stats,
         n_samples=n_samples,
-        kernel_width=kernel_width,
         seed=np.random.SeedSequence((int(seed), int(i))),
         instance_id=int(i),
         true_label=str(data.labels[i]),
-        class_names=class_names,
     )
 
 
-def global_explain(
-    predict_fn, data: Dataset, n_samples: int = 1000, seed=0, kernel_width: float | None = None
-) -> GlobalExplanation:
+def global_explain(predict_fn, data: Dataset, n_samples: int = 1000, seed=0) -> GlobalExplanation:
     """Average per-instance surrogate importances over a dataset.
 
     Both the signed mean and the mean magnitude are reported per feature.
@@ -172,7 +166,7 @@ def global_explain(
     magnitude = np.zeros(data.n_features)
     index = {name: i for i, name in enumerate(stats.names)}
     for i in range(data.n_rows):
-        exp = _explain_row(predict_fn, data, i, stats, n_samples, kernel_width, seed)
+        exp = _explain_row(predict_fn, data, i, stats, n_samples, seed)
         for name, _value, imp in exp.contributions:
             signed[index[name]] += imp
             magnitude[index[name]] += abs(imp)
@@ -186,14 +180,7 @@ def global_explain(
     )
 
 
-def misprediction_report(
-    predict_fn,
-    data: Dataset,
-    n_samples: int = 1000,
-    seed=0,
-    kernel_width: float | None = None,
-    class_names=CLASSES,
-) -> list[MispredictionRecord]:
+def misprediction_report(predict_fn, data: Dataset, n_samples: int = 1000, seed=0) -> list[MispredictionRecord]:
     """Surrogate explanations for misclassified rows only.
 
     Each record splits features into those supporting the (wrong) prediction
@@ -205,12 +192,12 @@ def misprediction_report(
     stats = FeatureStats.from_dataset(data)
     probs = np.asarray(predict_fn(data.rows), dtype=np.float64)
     predicted = probs.argmax(axis=1)
-    truth = one_hot(data.labels, class_names).argmax(axis=1)
+    truth = one_hot(data.labels, CLASSES).argmax(axis=1)
     records = []
     for i in np.flatnonzero(predicted != truth):
-        exp = _explain_row(predict_fn, data, i, stats, n_samples, kernel_width, seed, class_names)
+        exp = _explain_row(predict_fn, data, i, stats, n_samples, seed)
         # importances explain the positive-class probability
-        wants_positive = exp.predicted == class_names[1]
+        wants_positive = exp.predicted == CLASSES[1]
         supporting = [c for c in exp.contributions if (c[2] > 0) == wants_positive and c[2] != 0]
         contradicting = [c for c in exp.contributions if (c[2] > 0) != wants_positive and c[2] != 0]
         records.append(
@@ -219,16 +206,16 @@ def misprediction_report(
     return records
 
 
-def format_misprediction_table(records: list[MispredictionRecord], top: int = 2) -> str:
-    """Flat text table: true value, prediction, confidence pair, top
-    supporting and contradicting features."""
+def format_misprediction_table(records: list[MispredictionRecord]) -> str:
+    """Flat text table: true value, prediction, confidence pair, and the two
+    strongest supporting and contradicting features."""
     lines = ["true,predicted,confidence,supporting,contradicting"]
     for rec in records:
         exp = rec.explanation
         conf = "(" + ", ".join(f"{p:.3f}" for p in exp.confidence) + ")"
 
         def fmt(entries):
-            return "; ".join(f"{name}=(Val={value:g}, Imp={imp:.3f})" for name, value, imp in entries[:top])
+            return "; ".join(f"{name}=(Val={value:g}, Imp={imp:.3f})" for name, value, imp in entries[:2])
 
         lines.append(
             f"{exp.true_label},{exp.predicted},{conf},{fmt(rec.supporting)},{fmt(rec.contradicting)}"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .datakit import Dataset, scale
 from .rulelang import RuleSet, evaluate_boolean
-from .tensornet import Layer, Network, _sigmoid, forward, predict_labels
+from .tensornet import Layer, Network, _forward_full, _sigmoid, forward, predict_labels
 
 __all__ = [
     "CompileConfig",
@@ -57,7 +57,6 @@ class CompileConfig:
     omega: float = 8.0
     perturb_scale: float = 0.01
     extra_hidden_per_level: int = 3
-    knowledge_activation: str = "sigmoid"
     seed: int = 0
     freeze_knowledge_links: bool = False
 
@@ -68,8 +67,6 @@ class CompileConfig:
             raise CompileError("perturb_scale must be >= 0")
         if self.extra_hidden_per_level < 0:
             raise CompileError("extra_hidden_per_level must be >= 0")
-        if self.knowledge_activation != "sigmoid":
-            raise CompileError("only sigmoid knowledge units are supported")
 
 
 @dataclass
@@ -432,7 +429,7 @@ def extract_rules(net: Network, train_data: Dataset, group_tolerance: float = 0.
     # is its grouped weighted sum minus its threshold; the final class is the
     # output unit with the best margin.
     rules = []
-    values = scale(train_data.rows, net.input_bounds)
+    scaled = values = scale(train_data.rows, net.input_bounds)
     for li, layer in enumerate(net.layers):
         sources = net.input_names if li == 0 else net.unit_labels[li - 1]
         grouped = np.empty_like(layer.weights)
@@ -450,9 +447,9 @@ def extract_rules(net: Network, train_data: Dataset, group_tolerance: float = 0.
         margins = values @ grouped.T + layer.biases
         values = (margins > 0).astype(np.float64)
 
-    rule_classes = np.asarray(net.output_names, dtype=object)[margins.argmax(axis=1)]
-    net_classes = predict_labels(net, train_data.rows)
-    fidelity = float((rule_classes == net_classes).mean())
+    # the network's own classes, from the rows already scaled for the replay
+    net_out = _forward_full(net, scaled)[1][-1]
+    fidelity = float((margins.argmax(axis=1) == net_out.argmax(axis=1)).mean())
     return ExtractedRuleSet(rules=rules, fidelity=fidelity)
 
 

@@ -1,6 +1,6 @@
 """Minimal dense feed-forward networks in numpy.
 
-Forward pass, backpropagation with Adam or plain SGD, L1/L2 regularization
+Forward pass, backpropagation with Adam, L1/L2 regularization
 on (unfrozen) weights, patience-based early stopping with best-epoch weight
 snapshots, a finite-difference gradient checker, and lossless model files.
 
@@ -43,7 +43,6 @@ __all__ = [
 
 ACTIVATIONS = ("relu", "sigmoid", "softmax", "linear")
 LOSSES = ("cross_entropy", "mean_squared_error")
-OPTIMIZERS = ("adam", "sgd")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
@@ -193,7 +192,7 @@ class Network:
         return any(layer.knowledge_mask.any() for layer in self.layers)
 
 
-def build_network(input_dim, layer_specs, seed, unit_labels=None, input_names=None, output_names=None) -> Network:
+def build_network(input_dim, layer_specs, seed, input_names=None, output_names=None) -> Network:
     """Assemble a network from (width, activation) layer specs.
 
     Weights are seeded uniform in +-sqrt(6 / (fan_in + fan_out)); biases zero.
@@ -211,8 +210,6 @@ def build_network(input_dim, layer_specs, seed, unit_labels=None, input_names=No
         layers.append(Layer(rng.uniform(-limit, limit, size=(width, fan_in)), np.zeros(width), activation))
         labels.append([f"u{i + 1}_{j + 1}" for j in range(width)])
         fan_in = width
-    if unit_labels is not None:
-        labels = [list(l) for l in unit_labels]
     input_names = list(input_names) if input_names else [f"x{j + 1}" for j in range(input_dim)]
     output_names = list(output_names) if output_names else list(labels[-1])
     return Network(layers, labels, input_names, output_names)
@@ -399,7 +396,6 @@ def _backprop(net: Network, x, targets, config, reg_scale: float | None = None, 
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.03
-    optimizer: str = "adam"
     l1: float = 1.0
     l2: float = 1.0
     patience: int = 3
@@ -417,8 +413,6 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if not 0 < self.validation_fraction < 1:
             raise ValueError("validation_fraction must be in (0, 1)")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.batch_size < 1 or self.max_epochs < 1:
@@ -564,16 +558,12 @@ def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport
             epoch_loss += batch_loss * len(batch_idx)
             grad = _flat(zip(*_backprop(model, xb, tb, config, reg_scale, cache)))
             step += 1
-            if config.optimizer == "adam":
-                adam_m = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grad
-                adam_v = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grad * grad
-                c1, c2 = 1 - ADAM_BETA1**step, 1 - ADAM_BETA2**step
-                update = (adam_m / c1) / (np.sqrt(adam_v / c2) + ADAM_EPSILON)
-            else:
-                update = grad
+            adam_m = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grad
+            adam_v = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grad * grad
+            c1, c2 = 1 - ADAM_BETA1**step, 1 - ADAM_BETA2**step
             # frozen gradients are already zero, so adam moments stay zero
             # there and the update leaves frozen entries untouched
-            params -= config.learning_rate * update
+            params -= config.learning_rate * ((adam_m / c1) / (np.sqrt(adam_v / c2) + ADAM_EPSILON))
         loss_history.append(epoch_loss / len(x_tr))
 
         if has_validation:

@@ -104,13 +104,6 @@ class TestSmote:
         with pytest.raises(AugmentError, match="k_neighbors"):
             smote(data, SmoteConfig(k_neighbors=3))
 
-    def test_ratio_target(self):
-        data = imbalanced(n_min=8, n_maj=24)
-        out = smote(data, SmoteConfig(k_neighbors=3, target=0.75, seed=4))
-        counts = out.class_counts()
-        assert counts["Low"] == 18  # 0.75 * 24
-        assert counts["High"] == 24
-
     def test_interpolation_endpoints_allowed(self):
         # clustered minority pairs: every synthetic point must coincide with
         # the segment; lambda in {0, 1} reproduces an existing sample

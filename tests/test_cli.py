@@ -240,6 +240,21 @@ class TestScoringInputs:
         err = capsys.readouterr().err
         assert err == f"hornnet: error: {path}: missing feature column(s) the model needs: Loop\n"
 
+    def test_duplicate_feature_column_is_runtime_error(self, tmp_path, synth_dir, rules_file, nsai, capsys):
+        # with two Loop columns, compiling would wire the rule to one and scoring feed it the other
+        path = tmp_path / "two_loops.csv"
+        header, rest = (synth_dir / "train.csv").read_text().split("\n", 1)
+        path.write_text(header.replace("Arrow", "Loop") + "\n" + rest)
+        commands = (
+            ["train", "--data", str(path), "--rules", str(rules_file)],
+            ["evaluate", "--model", str(nsai), "--data", str(path)],
+        )
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv + ["--out", str(tmp_path / argv[0])]) == 1
+            assert capsys.readouterr().err == f"hornnet: error: {path}: duplicate column name(s): Loop\n"
+            assert not (tmp_path / argv[0] / "manifest.json").exists()
+
     def test_explain_on_constant_rows_is_runtime_error(self, tmp_path, synth_dir, nsai, capsys):
         data = datakit.load_csv(synth_dir / "test.csv")
         path = tmp_path / "one.csv"

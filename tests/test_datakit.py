@@ -62,6 +62,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="Medium"):
             load_csv(p)
 
+    def test_duplicate_column_name_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,b,Final_score,a\n1,2,High,3\n")
+        with pytest.raises(DataError, match=r"duplicate column name\(s\): a$"):
+            load_csv(p)
+
     def test_round_trip_with_origin(self, tmp_path):
         data = load_csv(FIXTURE)
         data.origin = np.array(["real"] * data.n_rows, dtype=object)

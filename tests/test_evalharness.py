@@ -3,13 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hornnet.datakit import Dataset, SynthConfig, generate_synthetic
+from hornnet.datakit import SPURIOUS_FEATURE, Dataset, SynthConfig, generate_synthetic
 from hornnet.evalharness import (
     MODEL_NAMES,
     compute_metrics,
     correlation_table,
     derive_seed,
+    render_correlation_table,
     render_metrics_table,
+    render_report_text,
     report_to_json,
     run_comparison,
 )
@@ -115,18 +117,45 @@ def small_setup():
     return rules, train, test
 
 
+@pytest.fixture(scope="module")
+def small_report(small_setup):
+    rules, train, test = small_setup
+    return run_comparison(train, test, rules, master_seed=5, cv_folds=3)
+
+
+CORRELATION_DATASETS = ["train", "smote_train", "autoencoder_train", "test"]
+
+
 class TestComparison:
-    def test_report_structure(self, small_setup):
-        rules, train, test = small_setup
-        report = run_comparison(train, test, rules, master_seed=5, cv_folds=3)
+    def test_report_structure(self, small_setup, small_report):
+        _, train, _ = small_setup
+        report = small_report
         assert set(report.test_metrics) == set(MODEL_NAMES)
         assert set(report.cv_accuracy) == set(MODEL_NAMES)
         assert set(report.permutation_importances) == set(MODEL_NAMES)
         for feat in train.feature_names:
-            assert set(report.correlations[feat]) == {"train", "smote_train", "autoencoder_train", "test"}
+            assert set(report.correlations[feat]) == set(CORRELATION_DATASETS)
         assert len(report.nsai_rules.rules) >= 4
         text = render_metrics_table(report.test_metrics)
         assert "nsai" in text and "deep_nn" in text
+
+    def test_report_text_sections(self, small_report):
+        lines = render_report_text(small_report).splitlines()
+        cv = lines.index("3-fold cross-validation accuracy (mean +- std)")
+        assert [line.split()[0] for line in lines[cv + 1 : cv + 5]] == list(MODEL_NAMES)
+        perm = lines.index(f"Permutation importance of {SPURIOUS_FEATURE} (accuracy drop)")
+        assert [line.split()[0] for line in lines[perm + 1 : perm + 5]] == list(MODEL_NAMES)
+
+    def test_correlation_table_text(self, small_setup, small_report):
+        _, train, _ = small_setup
+        header, rule, *rows = render_correlation_table(small_report.correlations).splitlines()
+        assert header.split() == ["Feature", *CORRELATION_DATASETS]
+        assert set(rule) == {"-"}
+        assert [row.split()[0] for row in rows] == list(train.feature_names)
+        for row in rows:
+            name, *values = row.split()
+            want = [f"{small_report.correlations[name][ds]:.3f}" for ds in CORRELATION_DATASETS]
+            assert values == want
 
     def test_missing_feature_fails_before_training(self, small_setup):
         _, train, test = small_setup

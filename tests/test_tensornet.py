@@ -280,18 +280,22 @@ class TestTrain:
         assert not np.array_equal(trained.layers[0].weights[~frozen], before[~frozen])
 
     def test_l2_step_shrinks_weights(self):
-        # single SGD step, zero data gradient (output already equals target)
+        # single Adam step, zero data gradient (output already equals target):
+        # the first step moves each weight by about learning_rate against the
+        # sign of its L2 gradient 2w, so a rate below every |w| shrinks them all
+        # and keeps their signs
         net = build_network(2, [(2, "linear")], seed=7, output_names=["a", "b"])
         x = np.zeros((2, 2))  # output = biases = 0 = target -> no data gradient
         targets = np.zeros((2, 2))
         before = net.layers[0].weights.copy()
         config = TrainConfig(
-            seed=7, optimizer="sgd", learning_rate=0.1, l1=0.0, l2=1.0,
+            seed=7, learning_rate=0.1, l1=0.0, l2=1.0,
             loss="mean_squared_error", max_epochs=1, batch_size=2, validation_fraction=0.4,
         )
+        nonzero = before != 0
+        assert config.learning_rate < np.abs(before[nonzero]).min()
         trained, _ = train(net, (x, targets), config)
         after = trained.layers[0].weights
-        nonzero = before != 0
         assert np.all(np.abs(after[nonzero]) < np.abs(before[nonzero]))
         assert np.all(np.sign(after[nonzero]) == np.sign(before[nonzero]))
 
@@ -318,8 +322,8 @@ class TestTrain:
 
 def _reference_train(net, data, config):
     """The per-layer training loop that the flat parameter vector replaced:
-    two forward passes per batch, Adam or SGD layer by layer, and a
-    per-layer best-epoch snapshot, restore and frozen restore."""
+    two forward passes per batch, Adam layer by layer, and a per-layer
+    best-epoch snapshot, restore and frozen restore."""
     x, targets, labels = tensornet._resolve_training_arrays(net, data, config)
     x = scale(x, net.input_bounds)
     model = net.copy()
@@ -346,18 +350,15 @@ def _reference_train(net, data, config):
             step += 1
             for i, layer in enumerate(model.layers):
                 gw, gb = grads_w[i], grads_b[i]
-                if config.optimizer == "adam":
-                    mw, mb = adam_m[i]
-                    vw, vb = adam_v[i]
-                    mw[...] = b1 * mw + (1 - b1) * gw
-                    mb[...] = b1 * mb + (1 - b1) * gb
-                    vw[...] = b2 * vw + (1 - b2) * gw * gw
-                    vb[...] = b2 * vb + (1 - b2) * gb * gb
-                    c1, c2 = 1 - b1**step, 1 - b2**step
-                    upd_w = (mw / c1) / (np.sqrt(vw / c2) + eps)
-                    upd_b = (mb / c1) / (np.sqrt(vb / c2) + eps)
-                else:
-                    upd_w, upd_b = gw, gb
+                mw, mb = adam_m[i]
+                vw, vb = adam_v[i]
+                mw[...] = b1 * mw + (1 - b1) * gw
+                mb[...] = b1 * mb + (1 - b1) * gb
+                vw[...] = b2 * vw + (1 - b2) * gw * gw
+                vb[...] = b2 * vb + (1 - b2) * gb * gb
+                c1, c2 = 1 - b1**step, 1 - b2**step
+                upd_w = (mw / c1) / (np.sqrt(vw / c2) + eps)
+                upd_b = (mb / c1) / (np.sqrt(vb / c2) + eps)
                 layer.weights -= config.learning_rate * upd_w
                 layer.biases -= config.learning_rate * upd_b
         loss_history.append(epoch_loss / len(x_tr))
@@ -408,12 +409,9 @@ class TestFlatParameterTraining:
             specs = [(4, "relu"), (2, "relu"), (4, "relu"), (3, "linear")]
             net = build_network(3, specs, seed=6)
             return net, (toy_dataset.rows, toy_dataset.rows), TrainConfig(seed=6, loss="mean_squared_error", max_epochs=10)
-        if name == "sgd":
-            net = build_mlp(3, [5], 2, seed=7, class_names=["Low", "High"])
-            return net, toy_dataset, TrainConfig(seed=7, optimizer="sgd", learning_rate=0.1, max_epochs=10)
         return _worsening_validation_case()
 
-    @pytest.mark.parametrize("name", ["mlp_cross_entropy", "compiled_frozen", "autoencoder_mse", "sgd", "early_stop"])
+    @pytest.mark.parametrize("name", ["mlp_cross_entropy", "compiled_frozen", "autoencoder_mse", "early_stop"])
     def test_bit_equal_to_per_layer_loop(self, name, toy_dataset, ct_rules):
         net, data, config = self.case(name, toy_dataset, ct_rules)
         trained, report = train(net, data, config)
