@@ -273,7 +273,7 @@ def _scoring_inputs(args) -> tuple[tensornet.Network, datakit.Dataset]:
     if missing := [name for name in net.input_names if name not in data.feature_names]:
         raise datakit.DataError(f"{args.data}: missing feature column(s) the model needs: {', '.join(missing)}")
     order = [data.feature_names.index(name) for name in net.input_names]
-    return net, replace(data, feature_names=net.input_names, rows=data.rows[:, order])
+    return net, replace(data, feature_names=net.input_names, rows=data.rows.take(order, axis=1))
 
 
 def _cmd_evaluate(args, out: Path) -> list[Path]:

@@ -46,6 +46,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 PASSTHROUGH_SEP = "__via"
+ACTIVATION_HIGH = 0.85
+ACTIVATION_LOW = 0.15
 
 
 class CompileError(ValueError):
@@ -58,7 +60,6 @@ class CompileConfig:
     perturb_scale: float = 0.01
     extra_hidden_per_level: int = 3
     seed: int = 0
-    freeze_knowledge_links: bool = False
 
     def __post_init__(self):
         if self.omega <= 0:
@@ -310,8 +311,6 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
         noise = rng.uniform(-s, s, size=layer.weights.shape)
         layer.weights += base + noise
         layer.biases += rng.uniform(-s, s, size=layer.biases.shape)
-        if config.freeze_knowledge_links:
-            layer.frozen_mask = layer.knowledge_mask.copy()
 
     return Network(layers, unit_labels, feature_names, classes)
 
@@ -330,15 +329,10 @@ def unit_symbol(label: str) -> str:
     return label
 
 
-def verify_compiled_logic(
-    net: Network,
-    rules: RuleSet,
-    activation_high: float = 0.85,
-    activation_low: float = 0.15,
-) -> bool:
+def verify_compiled_logic(net: Network, rules: RuleSet) -> bool:
     """Exhaustively check a perturbation-free compiled network against the
-    boolean oracle: every rule-labeled unit must sit above `activation_high`
-    whenever its symbol evaluates true and below `activation_low` otherwise.
+    boolean oracle: every rule-labeled unit must sit above `ACTIVATION_HIGH`
+    whenever its symbol evaluates true and below `ACTIVATION_LOW` otherwise.
     """
     inputs = sorted(rules.inputs)
     if len(inputs) > 12:
@@ -358,7 +352,7 @@ def verify_compiled_logic(
     cols = [c for c, symbol in enumerate(symbols) if symbol in truth[0]]
     want = np.array([[t[symbols[c]] for c in cols] for t in truth], dtype=bool).reshape(2**n, len(cols))
     got = np.hstack(forward(net, x))[:, cols]
-    return bool(np.all(np.where(want, got > activation_high, got < activation_low)))
+    return bool(np.all(np.where(want, got > ACTIVATION_HIGH, got < ACTIVATION_LOW)))
 
 
 # --------------------------------------------------------------------------

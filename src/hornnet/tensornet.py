@@ -1,8 +1,8 @@
 """Minimal dense feed-forward networks in numpy.
 
-Forward pass, backpropagation with Adam, L1/L2 regularization
-on (unfrozen) weights, patience-based early stopping with best-epoch weight
-snapshots, a finite-difference gradient checker, and lossless model files.
+Forward pass, backpropagation with Adam, L1/L2 regularization on weights,
+patience-based early stopping with best-epoch weight snapshots, a
+finite-difference gradient checker, and lossless model files.
 
 Shared by the plain classifier, the autoencoder, and the knowledge-compiled
 network; training is single-threaded and bit-reproducible for a given seed.
@@ -46,7 +46,9 @@ LOSSES = ("cross_entropy", "mean_squared_error")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-MODEL_FORMAT_VERSION = 2  # version 1 files have no input bounds (bounds.npy)
+# Version 2 files also hold per-layer frozen{i}.npy masks, which load_network
+# ignores; version 1 files have no input bounds (bounds.npy) and are rejected.
+MODEL_FORMAT_VERSION = 3
 
 
 class TrainingError(RuntimeError):
@@ -87,14 +89,12 @@ def _activate(z, kind, out=None):
 class Layer:
     """One dense layer: weights are (out_units, in_units).
 
-    `frozen_mask` entries set True are never updated by training;
     `knowledge_mask` marks links created from domain-knowledge rules.
     """
 
     weights: np.ndarray
     biases: np.ndarray
     activation: str
-    frozen_mask: np.ndarray | None = None
     knowledge_mask: np.ndarray | None = None
 
     def __post_init__(self):
@@ -106,17 +106,12 @@ class Layer:
             raise ValueError("bias length must equal out_units")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.frozen_mask is None:
-            self.frozen_mask = np.zeros_like(self.weights, dtype=bool)
-        else:
-            self.frozen_mask = np.asarray(self.frozen_mask, dtype=bool)
         if self.knowledge_mask is None:
             self.knowledge_mask = np.zeros_like(self.weights, dtype=bool)
         else:
             self.knowledge_mask = np.asarray(self.knowledge_mask, dtype=bool)
-        for mask in (self.frozen_mask, self.knowledge_mask):
-            if mask.shape != self.weights.shape:
-                raise ValueError("mask shape must match weights")
+        if self.knowledge_mask.shape != self.weights.shape:
+            raise ValueError("mask shape must match weights")
 
     @property
     def out_units(self) -> int:
@@ -131,7 +126,6 @@ class Layer:
             self.weights.copy(),
             self.biases.copy(),
             self.activation,
-            self.frozen_mask.copy(),
             self.knowledge_mask.copy(),
         )
 
@@ -320,7 +314,7 @@ def _logsumexp(z):
 def _penalty(net: Network, l1, l2) -> float:
     total = 0.0
     for layer in net.layers:
-        w = layer.weights[~layer.frozen_mask]
+        w = layer.weights
         total += l1 * np.abs(w).sum() + l2 * (w * w).sum()
     return float(total)
 
@@ -354,7 +348,7 @@ def _activation_grad(layer: Layer, z, a):
 
 
 def _backprop(net: Network, x, targets, config, reg_scale: float | None = None, cache=None):
-    """Gradients of total_loss wrt every weight and bias (frozen ones zeroed);
+    """Gradients of total_loss wrt every weight and bias;
     `cache` is the caller's `_forward_full(net, x)` result, if it has one."""
     batch = x.shape[0]
     if reg_scale is None:
@@ -375,10 +369,7 @@ def _backprop(net: Network, x, targets, config, reg_scale: float | None = None, 
         layer = net.layers[i]
         below = x if i == 0 else acts[i - 1]
         gw = delta.T @ below
-        reg = (config.l1 * np.sign(layer.weights) + 2.0 * config.l2 * layer.weights) * reg_scale
-        reg[layer.frozen_mask] = 0.0
-        gw += reg
-        gw[layer.frozen_mask] = 0.0
+        gw += (config.l1 * np.sign(layer.weights) + 2.0 * config.l2 * layer.weights) * reg_scale
         grads_w[i] = gw
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
@@ -485,19 +476,16 @@ def _flat(pairs) -> np.ndarray:
 
 def _share_parameters(net: Network):
     """Move every weight and bias of `net` into one float64 vector laid out
-    like `_flat`'s and make each layer's arrays views of it.
-
-    Returns the vector and its frozen mask; biases are never frozen.
+    like `_flat`'s and make each layer's arrays views of it; returns the vector.
     """
     params = _flat((layer.weights, layer.biases) for layer in net.layers)
-    frozen = _flat((layer.frozen_mask, np.zeros(layer.out_units, dtype=bool)) for layer in net.layers)
     offset = 0
     for layer in net.layers:
         end = offset + layer.weights.size
         layer.weights = params[offset:end].reshape(layer.weights.shape)
         offset = end + layer.out_units
         layer.biases = params[end:offset]
-    return params, frozen
+    return params
 
 
 def _validation_score(net: Network, x, targets, loss) -> float:
@@ -515,14 +503,12 @@ def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport
     feature rows themselves for mean_squared_error) or an (x, targets) pair;
     the inputs are raw and are scaled once with `net.input_bounds`.
     Early stopping fires after `patience` epochs without validation-score
-    improvement: accuracy for cross-entropy, negated MSE otherwise. Weights
-    under a True `frozen_mask` come back bit-identical to their inputs.
+    improvement: accuracy for cross-entropy, negated MSE otherwise.
     """
     x, targets, labels = _resolve_training_arrays(net, data, config)
     x = scale(x, net.input_bounds)
     model = net.copy()
-    params, frozen = _share_parameters(model)
-    initial = params[frozen]
+    params = _share_parameters(model)
 
     train_idx, val_idx = validation_split(x.shape[0], config.validation_fraction, config.seed, labels)
     x_tr, t_tr = x[train_idx], targets[train_idx]
@@ -561,8 +547,6 @@ def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport
             adam_m = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grad
             adam_v = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grad * grad
             c1, c2 = 1 - ADAM_BETA1**step, 1 - ADAM_BETA2**step
-            # frozen gradients are already zero, so adam moments stay zero
-            # there and the update leaves frozen entries untouched
             params -= config.learning_rate * ((adam_m / c1) / (np.sqrt(adam_v / c2) + ADAM_EPSILON))
         loss_history.append(epoch_loss / len(x_tr))
 
@@ -585,7 +569,6 @@ def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport
 
     if best_params is not None:
         params[...] = best_params
-    params[frozen] = initial
 
     report = TrainReport(
         epochs_run=len(loss_history),
@@ -615,17 +598,12 @@ def numerical_gradient_check(net: Network, x, targets, config=None, epsilon: flo
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     model = net.copy()
-    params, frozen = _share_parameters(model)
+    params = _share_parameters(model)
     analytic = _flat(zip(*_backprop(model, x, targets, config)))
 
-    # Regularization gradients above were zeroed on frozen weights; finite
-    # differences must see the same objective, so freeze-aware total_loss is
-    # reused as-is (frozen weights are excluded from the penalty). Frozen
-    # weights never move in training, so they are not compared; one at the L1
-    # kink still counts as skipped.
     at_kink = _flat((np.abs(layer.weights) <= epsilon, np.zeros(layer.out_units, dtype=bool)) for layer in model.layers)
     at_kink &= config.l1 > 0
-    checked = np.flatnonzero(~at_kink & ~frozen)
+    checked = np.flatnonzero(~at_kink)
     max_err = 0.0
     for k in checked:
         old = params[k]
@@ -661,7 +639,6 @@ def save_network(net: Network, path) -> None:
     for i, layer in enumerate(net.layers):
         arrays[f"w{i}"] = layer.weights
         arrays[f"b{i}"] = layer.biases
-        arrays[f"frozen{i}"] = layer.frozen_mask
         arrays[f"knowledge{i}"] = layer.knowledge_mask
 
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
@@ -682,14 +659,14 @@ def load_network(path) -> Network:
             meta = json.loads(zf.read("meta.json"))
             if meta.get("format") != "hornnet-network":
                 raise ValueError("not a hornnet model file")
-            if (version := meta.get("version")) != MODEL_FORMAT_VERSION:
+            if (version := meta.get("version")) not in (2, MODEL_FORMAT_VERSION):
                 raise ValueError(f"model file format version {version} is not supported; retrain the model")
 
             def arr(name):
                 return np.lib.format.read_array(io.BytesIO(zf.read(f"{name}.npy")), allow_pickle=False)
 
             layers = [
-                Layer(arr(f"w{i}"), arr(f"b{i}"), meta["activations"][i], arr(f"frozen{i}"), arr(f"knowledge{i}"))
+                Layer(arr(f"w{i}"), arr(f"b{i}"), meta["activations"][i], arr(f"knowledge{i}"))
                 for i in range(meta["n_layers"])
             ]
             return Network(layers, meta["unit_labels"], meta["input_names"], meta["output_names"], arr("bounds"))

@@ -33,6 +33,8 @@ def _check(num, name, ok, detail=""):
 
 
 def test_criterion_1_compilation_logic_fidelity():
+    # the criterion's thresholds, which verify_compiled_logic holds as constants
+    assert (kbann.ACTIVATION_HIGH, kbann.ACTIVATION_LOW) == (0.85, 0.15)
     rng = np.random.default_rng(1001)
     t0 = time.time()
     failures = 0
@@ -43,7 +45,7 @@ def test_criterion_1_compilation_logic_fidelity():
         net = kbann.compile_rules(
             rules, sorted(rules.inputs), CLASSES, kbann.CompileConfig(perturb_scale=0.0, seed=trial)
         )
-        if not kbann.verify_compiled_logic(net, rules, 0.85, 0.15):
+        if not kbann.verify_compiled_logic(net, rules):
             failures += 1
     elapsed = time.time() - t0
     _check(1, "knowledge-compilation logic fidelity",

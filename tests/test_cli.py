@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hornnet import cli, datakit, evalharness, tensornet
+from hornnet import cli, datakit, evalharness, explain, tensornet
 from hornnet.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "tiny_players.csv"
@@ -222,15 +222,33 @@ class TestScoringInputs:
         assert len({p.tobytes() for p in probs.values()}) == 1
 
     def test_permuted_columns_give_identical_outputs(self, tmp_path, synth_dir, nsai):
-        for command, csv, name in (("evaluate", "test.csv", "metrics.json"), ("extract", "train.csv", "rules.json")):
+        cases = (
+            ("evaluate", "test.csv", "metrics.json", []),
+            ("extract", "train.csv", "rules.json", []),
+            ("explain", "test.csv", "global_explanation.json", ["--samples", "60"]),
+        )
+        for command, csv, name, extra in cases:
             data = datakit.load_csv(synth_dir / csv)
             permuted = _save_columns(data, data.feature_names[::-1], tmp_path / f"permuted-{csv}")
             outputs = []
             for path in (synth_dir / csv, permuted):
                 out = tmp_path / f"{command}-{path.stem}"
-                assert main([command, "--model", str(nsai), "--data", str(path), "--out", str(out)]) == 0
+                assert main([command, "--model", str(nsai), "--data", str(path), "--out", str(out)] + extra) == 0
                 outputs.append((out / name).read_bytes())
             assert outputs[0] == outputs[1], command
+
+    def test_explain_equals_the_library(self, tmp_path, synth_dir, nsai):
+        # the CLI's column matching hands LIME the same rows, in the same memory
+        # order, as load_csv does, so its statistics sum in the same order
+        data = datakit.load_csv(synth_dir / "test.csv")
+        lib = explain.global_explain(tensornet.predictor(tensornet.load_network(nsai)), data, n_samples=60, seed=3)
+        want = {"mean_signed": lib.mean_signed, "mean_abs": lib.mean_abs, "n_instances": lib.n_instances}
+        permuted = _save_columns(data, data.feature_names[::-1], tmp_path / "permuted.csv")
+        for path in (synth_dir / "test.csv", permuted):
+            out = tmp_path / f"explain-{path.stem}"
+            argv = ["explain", "--model", str(nsai), "--data", str(path), "--samples", "60", "--seed", "3"]
+            assert main(argv + ["--out", str(out)]) == 0
+            assert json.loads((out / "global_explanation.json").read_text()) == want, path.name
 
     def test_missing_feature_column_is_runtime_error(self, tmp_path, synth_dir, nsai, capsys):
         data = datakit.load_csv(synth_dir / "test.csv")

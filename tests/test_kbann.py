@@ -106,13 +106,6 @@ class TestCompileProperties:
         # 2 + 3 (level 1) + 2 (Final_score) + 2 (output pair)
         assert total_links == 9
 
-    def test_freeze_option(self, ct_rules, game_features):
-        net = compile_rules(
-            ct_rules, game_features, ["Low", "High"], CompileConfig(seed=3, freeze_knowledge_links=True)
-        )
-        for layer in net.layers:
-            assert np.array_equal(layer.frozen_mask, layer.knowledge_mask)
-
     def test_same_seed_identical(self, ct_rules, game_features):
         a = compile_rules(ct_rules, game_features, ["Low", "High"], CompileConfig(seed=5))
         b = compile_rules(ct_rules, game_features, ["Low", "High"], CompileConfig(seed=5))

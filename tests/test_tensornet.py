@@ -1,4 +1,7 @@
+import io
+import json
 import tracemalloc
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -269,16 +272,6 @@ class TestTrain:
         assert ra.train_loss_history == rb.train_loss_history
         assert ra.validation_score_history == rb.validation_score_history
 
-    def test_frozen_weights_bit_identical(self, toy_dataset):
-        net = build_mlp(3, [6], 2, seed=5, class_names=["Low", "High"])
-        frozen = np.zeros_like(net.layers[0].weights, dtype=bool)
-        frozen[2, :] = True
-        net.layers[0].frozen_mask = frozen
-        before = net.layers[0].weights.copy()
-        trained, _ = train(net, toy_dataset, TrainConfig(seed=5, max_epochs=15))
-        assert np.array_equal(trained.layers[0].weights[frozen], before[frozen])
-        assert not np.array_equal(trained.layers[0].weights[~frozen], before[~frozen])
-
     def test_l2_step_shrinks_weights(self):
         # single Adam step, zero data gradient (output already equals target):
         # the first step moves each weight by about learning_rate against the
@@ -323,11 +316,10 @@ class TestTrain:
 def _reference_train(net, data, config):
     """The per-layer training loop that the flat parameter vector replaced:
     two forward passes per batch, Adam layer by layer, and a per-layer
-    best-epoch snapshot, restore and frozen restore."""
+    best-epoch snapshot and restore."""
     x, targets, labels = tensornet._resolve_training_arrays(net, data, config)
     x = scale(x, net.input_bounds)
     model = net.copy()
-    initial = [(layer.weights.copy(), layer.frozen_mask.copy()) for layer in model.layers]
     train_idx, val_idx = validation_split(x.shape[0], config.validation_fraction, config.seed, labels)
     x_tr, t_tr = x[train_idx], targets[train_idx]
     x_val, t_val = x[val_idx], targets[val_idx]
@@ -377,8 +369,6 @@ def _reference_train(net, data, config):
     if best_weights is not None:
         for layer, (w, b) in zip(model.layers, best_weights):
             layer.weights, layer.biases = w, b
-    for layer, (w0, frozen) in zip(model.layers, initial):
-        layer.weights[frozen] = w0[frozen]
     return model, loss_history, score_history
 
 
@@ -399,11 +389,9 @@ class TestFlatParameterTraining:
         if name == "mlp_cross_entropy":
             net = build_mlp(3, [6, 4], 2, seed=4, class_names=["Low", "High"])
             return net, toy_dataset, TrainConfig(seed=4, max_epochs=12, batch_size=8)
-        if name == "compiled_frozen":
+        if name == "compiled":
             raw, _ = generate_synthetic(SynthConfig(n_rows=150, n_test=20, seed=5))
-            config = CompileConfig(seed=5, freeze_knowledge_links=True)
-            net = compile_rules(ct_rules, raw.feature_names, CLASSES, config)
-            assert any(layer.frozen_mask.any() for layer in net.layers)
+            net = compile_rules(ct_rules, raw.feature_names, CLASSES, CompileConfig(seed=5))
             return replace(net, input_bounds=feature_bounds(raw)), raw, TrainConfig(seed=5, max_epochs=8)
         if name == "autoencoder_mse":
             specs = [(4, "relu"), (2, "relu"), (4, "relu"), (3, "linear")]
@@ -411,7 +399,7 @@ class TestFlatParameterTraining:
             return net, (toy_dataset.rows, toy_dataset.rows), TrainConfig(seed=6, loss="mean_squared_error", max_epochs=10)
         return _worsening_validation_case()
 
-    @pytest.mark.parametrize("name", ["mlp_cross_entropy", "compiled_frozen", "autoencoder_mse", "early_stop"])
+    @pytest.mark.parametrize("name", ["mlp_cross_entropy", "compiled", "autoencoder_mse", "early_stop"])
     def test_bit_equal_to_per_layer_loop(self, name, toy_dataset, ct_rules):
         net, data, config = self.case(name, toy_dataset, ct_rules)
         trained, report = train(net, data, config)
@@ -442,12 +430,11 @@ class TestFlatParameterTraining:
 
 
 class TestGradientCheck:
-    @pytest.mark.parametrize("l1, n_checked, n_skipped", [(1.0, 21, 3), (0.0, 23, 0)])
-    def test_counts_with_frozen_and_kink_weights(self, l1, n_checked, n_skipped):
+    @pytest.mark.parametrize("l1, n_checked, n_skipped", [(1.0, 23, 3), (0.0, 26, 0)])
+    def test_counts_with_kink_weights(self, l1, n_checked, n_skipped):
         net = build_network(3, [(4, "sigmoid"), (2, "softmax")], seed=8)
         first, second = net.layers
-        first.frozen_mask[0, :] = True
-        first.weights[0, 0] = 0.0  # frozen and at the L1 kink: counted as skipped
+        first.weights[0, 0] = 0.0
         first.weights[1, 1] = 1e-6
         second.weights[1, 3] = -5e-6
         rng = np.random.default_rng(8)
@@ -468,7 +455,6 @@ class TestGradientCheck:
     def test_linear_closed_form(self):
         net = build_network(1, [(1, "linear")], seed=0, output_names=["y"])
         net.layers[0].weights[0, 0] = 0.7
-        net.layers[0].frozen_mask = np.array([[False]])
         x = np.array([[2.0]])
         y = np.array([[1.0]])
         config = TrainConfig(l1=0.0, l2=0.0, loss="mean_squared_error")
@@ -505,19 +491,45 @@ class TestSerialization:
         net.input_bounds[:, 0] = [-1.5, 0.0, 2.0, 1e-300, 7.0]
         net.input_bounds[:, 1] = [3.25, 0.0, 2.5, 1e300, 7.0]
         net.layers[0].knowledge_mask[1, 2] = True
-        net.layers[0].frozen_mask = net.layers[0].knowledge_mask.copy()
         path = tmp_path / "model.npz"
         save_network(net, path)
         loaded = load_network(path)
         for a, b in zip(net.layers, loaded.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.biases, b.biases)
-            assert np.array_equal(a.frozen_mask, b.frozen_mask)
             assert np.array_equal(a.knowledge_mask, b.knowledge_mask)
             assert a.activation == b.activation
         assert loaded.unit_labels == net.unit_labels
         assert loaded.output_names == net.output_names
         assert loaded.input_bounds.tobytes() == net.input_bounds.tobytes()
+
+    def test_version_3_written_and_version_2_read(self, tmp_path):
+        net = build_mlp(4, [5, 3], 2, seed=9, class_names=["Low", "High"])
+        net.input_bounds[:, 1] = [2.0, 3.5, 1.0, 10.0]
+        net.layers[1].knowledge_mask[0, 2] = True
+        new, old = tmp_path / "v3.npz", tmp_path / "v2.npz"
+        save_network(net, new)
+        # a version-2 file is a version-3 file plus one all-False frozen{i}.npy per layer
+        with zipfile.ZipFile(new) as src, zipfile.ZipFile(old, "w") as dst:
+            assert json.loads(src.read("meta.json"))["version"] == 3
+            assert not [name for name in src.namelist() if name.startswith("frozen")]
+            for info in src.infolist():
+                if info.filename == "meta.json":
+                    dst.writestr(info, json.dumps({**json.loads(src.read(info)), "version": 2}))
+                else:
+                    dst.writestr(info, src.read(info))
+            for i, layer in enumerate(net.layers):
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, np.zeros_like(layer.weights, dtype=bool))
+                dst.writestr(f"frozen{i}.npy", buf.getvalue())
+        loaded = load_network(old)
+        for a, b in zip(net.layers, loaded.layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.biases.tobytes() == b.biases.tobytes()
+            assert a.knowledge_mask.tobytes() == b.knowledge_mask.tobytes()
+        assert loaded.input_bounds.tobytes() == net.input_bounds.tobytes()
+        x = np.random.default_rng(9).uniform(0.0, 4.0, size=(20, 4))
+        assert predict_proba(loaded, x).tobytes() == predict_proba(net, x).tobytes()
 
     def test_model_file_bytes_reproducible(self, tmp_path):
         net = build_mlp(3, [4], 2, seed=1)
