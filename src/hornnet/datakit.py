@@ -258,7 +258,8 @@ def save_csv(data: Dataset, path) -> None:
 
 def _class_indices(labels) -> dict[str, np.ndarray]:
     labels = np.asarray(labels, dtype=object)
-    return {str(c): np.flatnonzero(labels == c) for c in sorted(set(labels.astype(str)))}
+    # map(str, ...) gives the names astype(str) would, without a numpy scalar per row
+    return {c: np.flatnonzero(labels == c) for c in sorted(set(map(str, labels)))}
 
 
 def _stratified_mask(labels, fraction: float, rng) -> np.ndarray:

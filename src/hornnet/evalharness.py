@@ -145,10 +145,19 @@ def _fit(builder, source: Dataset, seed: int):
 
 
 def _cross_validate(source: Dataset, k: int, seed: int, builder) -> tuple[float, float]:
+    """Mean and std of the folds' validation accuracy. The K fold nets train
+    in lockstep as one `tensornet.train_stack` call, each exactly as `_fit`
+    would train it on its fold's rows."""
+    folds = datakit.kfold_split(source, k, seed)
+    fold_seeds = [derive_seed(seed, f"fold{fold}") for fold in range(len(folds))]
+    stack = tensornet.train_stack(
+        [builder(s) for s in fold_seeds],
+        source,
+        [tensornet.TrainConfig(seed=s) for s in fold_seeds],
+        [train_idx for train_idx, _ in folds],
+    )
     scores = []
-    for fold, (train_idx, val_idx) in enumerate(datakit.kfold_split(source, k, seed)):
-        fold_seed = derive_seed(seed, f"fold{fold}")
-        trained, _ = _fit(builder, datakit.subset(source, train_idx), fold_seed)
+    for (trained, _), (_, val_idx) in zip(stack, folds):
         val = datakit.subset(source, val_idx)
         preds = tensornet.predict_labels(trained, val.rows).astype(str)
         scores.append(float((preds == val.labels.astype(str)).mean()))

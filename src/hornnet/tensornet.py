@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 import zlib
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, field, replace
+from functools import cache
+from itertools import groupby, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +38,7 @@ __all__ = [
     "predictor",
     "predict_labels",
     "train",
+    "train_stack",
     "validation_split",
     "numerical_gradient_check",
     "save_network",
@@ -64,8 +68,17 @@ def _sigmoid(z, out=None):
     return out
 
 
+def _row_max(z):
+    """`z.max(axis=-1, keepdims=True)`, one column at a time: numpy reduces a
+    short last axis row by row, four to ten times slower for two classes."""
+    m = z[..., :1].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(m, z[..., j : j + 1], out=m)
+    return m
+
+
 def _softmax(z, out=None):
-    out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    out = np.subtract(z, _row_max(z), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -231,14 +244,18 @@ def _forward_full(net: Network, x: np.ndarray, start: int = 0, out=None):
     """Pre-activations and activations of layers `start` onward; `x` is the
     input to layer `start`.
 
+    `net` is one network, with `x` of shape (rows, in), or a stack of K
+    same-shape networks whose layers hold (K, out, in) weights and (K, out)
+    biases, with `x` of shape (K, rows, in); each member's results equal its
+    own 2-D call bit for bit.
     `out`, if given, holds one (z, a) buffer pair per layer from `start` on,
-    each of shape (rows of `x`, layer width); the results are written there.
+    each shaped like that layer's result; the results are written there.
     """
     zs, acts = [], []
     a = x
     for layer, (z_buf, a_buf) in zip(net.layers[start:], out or repeat((None, None))):
-        z = np.matmul(a, layer.weights.T, out=z_buf)
-        z += layer.biases
+        z = np.matmul(a, layer.weights.swapaxes(-1, -2), out=z_buf)
+        z += layer.biases[..., None, :]
         a = _activate(z, layer.activation, a_buf)
         zs.append(z)
         acts.append(a)
@@ -296,27 +313,46 @@ def predict_labels(net: Network, x) -> np.ndarray:
     return np.asarray(net.output_names, dtype=object)[probs.argmax(axis=1)]
 
 
-def _loss(net: Network, zs, acts, targets, config, reg_scale) -> float:
-    """Mean data loss of one forward pass plus the penalty scaled by `reg_scale`."""
-    penalty = _penalty(net, config.l1, config.l2) * reg_scale
+def _loss(net: Network, zs, acts, targets, config, reg_scale, magnitudes=None):
+    """Mean data loss of one forward pass plus the penalty scaled by `reg_scale`:
+    a float for one network; for a stack, one value per member, with
+    `reg_scale` one value per member. `magnitudes` is passed to `_penalty`."""
+    rows = zs[-1].shape[-2]
     if config.loss == "cross_entropy":
         logp = zs[-1] - _logsumexp(zs[-1])
-        return float(-(targets * logp).sum() / zs[-1].shape[0]) + penalty
-    diff = acts[-1] - targets
-    return float((diff * diff).sum() / zs[-1].shape[0]) + penalty
+        data = -(targets * logp).sum(axis=(-2, -1)) / rows
+    else:
+        diff = acts[-1] - targets
+        data = (diff * diff).sum(axis=(-2, -1)) / rows
+    loss = data + _penalty(net, config.l1, config.l2, magnitudes) * reg_scale
+    return float(loss) if np.ndim(loss) == 0 else loss
 
 
 def _logsumexp(z):
-    m = z.max(axis=-1, keepdims=True)
+    m = _row_max(z)
     return m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
 
 
-def _penalty(net: Network, l1, l2) -> float:
+def _penalty(net: Network, l1, l2, magnitudes=None):
+    """Summed L1 and L2 weight penalty, per layer: one value per network of a
+    stack. `magnitudes`, if given, holds each layer's |w| and w * w."""
+    if magnitudes is None:
+        magnitudes = [(np.abs(layer.weights), layer.weights * layer.weights) for layer in net.layers]
     total = 0.0
-    for layer in net.layers:
-        w = layer.weights
-        total += l1 * np.abs(w).sum() + l2 * (w * w).sum()
-    return float(total)
+    for abs_w, square_w in magnitudes:
+        # np.add.reduce is ndarray.sum without its Python wrapper
+        total = total + (l1 * np.add.reduce(abs_w, axis=(-2, -1)) + l2 * np.add.reduce(square_w, axis=(-2, -1)))
+    return total
+
+
+def _penalty_grad(w, config, reg_scale, out=None, scratch=None):
+    """Gradient of the penalty at weights `w`: (l1 * sign(w) + 2 * l2 * w) * reg_scale,
+    evaluated in that order; into `out` if given, with `scratch` shaped like `w`."""
+    grad = np.sign(w, out=out)
+    grad *= config.l1
+    grad += np.multiply(w, 2.0 * config.l2, out=scratch)
+    grad *= reg_scale
+    return grad
 
 
 def total_loss(net: Network, x, targets, config, reg_scale: float | None = None) -> float:
@@ -337,45 +373,65 @@ def total_loss(net: Network, x, targets, config, reg_scale: float | None = None)
 # --------------------------------------------------------------------------
 
 
-def _activation_grad(layer: Layer, z, a):
+def _times_activation_grad(delta, layer: Layer, a):
+    """Multiply `delta` in place by the derivative of `layer`'s activation,
+    from its output `a` alone (relu's a > 0 is its input's z > 0)."""
     if layer.activation == "relu":
-        return (z > 0).astype(np.float64)
-    if layer.activation == "sigmoid":
-        return a * (1.0 - a)
-    if layer.activation == "linear":
-        return np.ones_like(z)
-    raise TrainingError("softmax is only supported as the final layer with cross-entropy loss")
+        np.multiply(delta, a > 0, out=delta)
+    elif layer.activation == "sigmoid":
+        grad = np.subtract(1.0, a)
+        grad *= a
+        delta *= grad
+    elif layer.activation != "linear":
+        raise TrainingError("softmax is only supported as the final layer with cross-entropy loss")
 
 
-def _backprop(net: Network, x, targets, config, reg_scale: float | None = None, cache=None):
-    """Gradients of total_loss wrt every weight and bias;
-    `cache` is the caller's `_forward_full(net, x)` result, if it has one."""
-    batch = x.shape[0]
+def _backprop(net: Network, x, targets, config, reg_scale=None, cache=None, out=None, penalty=None):
+    """Gradients of total_loss wrt every weight and bias, for one network or,
+    as in `_forward_full`, a stack (then `reg_scale` holds one value per member);
+    `cache` is the caller's `_forward_full(net, x)` result, if it has one.
+
+    `out`, if given, holds per layer three buffers shaped like its weight
+    gradient, bias gradient and delta (rows of `x` by layer width); the
+    gradients are written there. A delta buffer may be the layer's
+    pre-activations in `cache`, which are not read here. `penalty`, if
+    given, holds each layer's `_penalty_grad`, which is otherwise computed here.
+    """
+    batch = x.shape[-2]
     if reg_scale is None:
         reg_scale = 1.0 / batch
-    zs, acts = cache if cache is not None else _forward_full(net, x)
+    _, acts = cache if cache is not None else _forward_full(net, x)
+    n = len(net.layers)
+    if penalty is None:
+        reg_scale = np.expand_dims(reg_scale, (-2, -1))
+        penalty = [_penalty_grad(layer.weights, config, reg_scale) for layer in net.layers]
+    out = out or [(None,) * 3] * n
     last = net.layers[-1]
+    delta = np.subtract(acts[-1], targets, out=out[-1][2])
     if config.loss == "cross_entropy":
         if last.activation != "softmax":
             raise TrainingError("cross-entropy loss requires a softmax output layer")
-        delta = (acts[-1] - targets) / batch
+        delta /= batch
     else:
         if last.activation == "softmax":
             raise TrainingError("mean_squared_error is not supported with a softmax output layer")
-        delta = (2.0 * (acts[-1] - targets) / batch) * _activation_grad(last, zs[-1], acts[-1])
+        delta *= 2.0
+        delta /= batch
+        _times_activation_grad(delta, last, acts[-1])
 
-    grads_w, grads_b = [None] * len(net.layers), [None] * len(net.layers)
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
+    grads_w, grads_b = [None] * n, [None] * n
+    for i in range(n - 1, -1, -1):
+        w_buf, b_buf, _ = out[i]
         below = x if i == 0 else acts[i - 1]
-        gw = delta.T @ below
-        gw += (config.l1 * np.sign(layer.weights) + 2.0 * config.l2 * layer.weights) * reg_scale
-        grads_w[i] = gw
-        grads_b[i] = delta.sum(axis=0)
+        gw = grads_w[i] = np.matmul(delta.swapaxes(-1, -2), below, out=w_buf)
+        # added over each member's weights as one row: numpy steps through a
+        # strided 3-D view several times slower than through its 2-D form
+        flat = gw.reshape(gw.shape[:-2] + (-1,))
+        flat += penalty[i].reshape(flat.shape)
+        grads_b[i] = delta.sum(axis=-2, out=b_buf)
         if i > 0:
-            upper = delta @ layer.weights
-            prev = net.layers[i - 1]
-            delta = upper * _activation_grad(prev, zs[i - 1], acts[i - 1])
+            delta = np.matmul(delta, net.layers[i].weights, out=out[i - 1][2])
+            _times_activation_grad(delta, net.layers[i - 1], acts[i - 1])
     return grads_w, grads_b
 
 
@@ -397,9 +453,12 @@ class TrainConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
-        # learning_rate 0 is allowed so a zero step size can be exercised.
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        # learning_rate 0 is allowed so a zero step size can be exercised;
+        # `not x >= 0` also rejects NaN.
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and >= 0")
+        if not (math.isfinite(self.l1) and self.l1 >= 0 and math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError("l1 and l2 must be finite and >= 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if not 0 < self.validation_fraction < 1:
@@ -474,26 +533,131 @@ def _flat(pairs) -> np.ndarray:
     return np.concatenate([a.ravel() for pair in pairs for a in pair])
 
 
+def _layer_views(params, layers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weights, biases) views of a parameter vector laid out like
+    `_flat`'s, shaped like `layers`; a leading axis of `params` (one row per
+    network of a stack) leads every view."""
+    lead = params.shape[:-1]
+    views, offset = [], 0
+    for layer in layers:
+        rows, cols = layer.weights.shape[-2:]
+        end = offset + rows * cols
+        views.append((params[..., offset:end].reshape(lead + (rows, cols)), params[..., end : end + rows]))
+        offset = end + rows
+    return views
+
+
 def _share_parameters(net: Network):
     """Move every weight and bias of `net` into one float64 vector laid out
     like `_flat`'s and make each layer's arrays views of it; returns the vector.
     """
     params = _flat((layer.weights, layer.biases) for layer in net.layers)
-    offset = 0
-    for layer in net.layers:
-        end = offset + layer.weights.size
-        layer.weights = params[offset:end].reshape(layer.weights.shape)
-        offset = end + layer.out_units
-        layer.biases = params[end:offset]
+    for layer, (weights, biases) in zip(net.layers, _layer_views(params, net.layers)):
+        layer.weights, layer.biases = weights, biases
     return params
 
 
-def _validation_score(net: Network, x, targets, loss) -> float:
-    zs, acts = _forward_full(net, x)
+class _LayerView(NamedTuple):
+    weights: np.ndarray
+    biases: np.ndarray
+    activation: str
+
+
+class _Views(NamedTuple):
+    """Stands in for a Network: layers whose arrays view a parameter array,
+    with a leading member axis for a stack."""
+
+    layers: list[_LayerView]
+
+
+def _validation_score(net: Network, x, targets, loss, out=None):
+    """Accuracy for cross-entropy, negated MSE otherwise: a float for one
+    network, one value per member for a stack. `out` is `_forward_full`'s."""
+    zs, acts = _forward_full(net, x, out=out)
     if loss == "cross_entropy":
-        return float((acts[-1].argmax(axis=1) == targets.argmax(axis=1)).mean())
-    diff = acts[-1] - targets
-    return -float((diff * diff).sum() / x.shape[0])
+        score = (acts[-1].argmax(axis=-1) == targets.argmax(axis=-1)).mean(axis=-1)
+    else:
+        diff = acts[-1] - targets
+        score = -((diff * diff).sum(axis=(-2, -1)) / x.shape[-2])
+    return float(score) if np.ndim(score) == 0 else score
+
+
+@dataclass
+class _Member:
+    """One network's own state in a training stack."""
+
+    config: TrainConfig
+    train_rows: np.ndarray  # source rows it steps on
+    val_rows: np.ndarray  # source rows it validates on
+    rng: np.random.Generator
+    order: np.ndarray | None = None  # this epoch's training rows, in batch order
+    pos: int = 0  # rows of `order` stepped so far
+    steps: int = 0
+    epoch_loss: float = 0.0
+    loss_history: list[float] = field(default_factory=list)
+    score_history: list[float] = field(default_factory=list)
+    best_score: float = -np.inf
+    best_epoch: int = 0
+    bad_epochs: int = 0
+    stopped_early: bool = False
+
+    def next_epoch(self):
+        self.order = self.train_rows[self.rng.permutation(len(self.train_rows))]
+        self.pos, self.epoch_loss = 0, 0.0
+
+    def end_epoch(self, score) -> tuple[bool, bool]:
+        """Record the finished epoch and its validation `score` (None without
+        validation rows); returns (snapshot the weights, stop)."""
+        self.loss_history.append(self.epoch_loss / len(self.train_rows))
+        epoch, improved = len(self.loss_history), False
+        if score is None:
+            self.score_history.append(float("nan"))
+            self.best_epoch = epoch
+        else:
+            self.score_history.append(score)
+            improved = score > self.best_score
+            if improved:
+                self.best_score, self.best_epoch, self.bad_epochs = score, epoch, 0
+            else:
+                self.bad_epochs += 1
+                self.stopped_early = self.bad_epochs >= self.config.patience
+        return improved, self.stopped_early or epoch == self.config.max_epochs
+
+
+def _runs(keys):
+    """(lo, hi, key) for each run of equal consecutive keys that are not 0."""
+    lo = 0
+    for key, run in groupby(keys):
+        hi = lo + len(list(run))
+        if key:
+            yield lo, hi, key
+        lo = hi
+
+
+def _bias_correction(beta, steps):
+    """Adam's 1 - beta**t per member step count t, as a column; one float when
+    the counts agree, which numpy applies faster."""
+    if len(set(steps)) == 1:
+        return 1 - beta ** steps[0]
+    return np.array([[1 - beta**t] for t in steps])
+
+
+def _adam_step(params, m, v, grad, c1, c2, learning_rate, t1, t2):
+    """One Adam update of `params` in place, with bias corrections `c1`, `c2`;
+    `t1`, `t2` are scratch, and `t2` may be `grad`, which it outlives."""
+    m *= ADAM_BETA1
+    m += np.multiply(grad, 1 - ADAM_BETA1, out=t1)
+    v *= ADAM_BETA2
+    np.multiply(grad, 1 - ADAM_BETA2, out=t1)
+    t1 *= grad
+    v += t1
+    np.divide(m, c1, out=t1)
+    np.divide(v, c2, out=t2)
+    np.sqrt(t2, out=t2)
+    t2 += ADAM_EPSILON
+    t1 /= t2
+    t1 *= learning_rate
+    params -= t1
 
 
 def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport]:
@@ -505,79 +669,158 @@ def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport
     Early stopping fires after `patience` epochs without validation-score
     improvement: accuracy for cross-entropy, negated MSE otherwise.
     """
-    x, targets, labels = _resolve_training_arrays(net, data, config)
-    x = scale(x, net.input_bounds)
-    model = net.copy()
-    params = _share_parameters(model)
+    return train_stack([net], data, [config])[0]
 
-    train_idx, val_idx = validation_split(x.shape[0], config.validation_fraction, config.seed, labels)
-    x_tr, t_tr = x[train_idx], targets[train_idx]
-    x_val, t_val = x[val_idx], targets[val_idx]
-    has_validation = len(val_idx) > 0
 
-    rng = np.random.default_rng(config.seed + 1)
-    reg_scale = 1.0 / len(x_tr)
-    adam_m = np.zeros_like(params)
-    adam_v = np.zeros_like(params)
-    step = 0
+def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainReport]]:
+    """`train` for several networks at once: result j equals, byte for byte,
+    ``train(nets[j], subset, configs[j])`` where subset holds the rows
+    ``rows[j]`` of `data` (all rows when `rows` is None).
 
-    loss_history: list[float] = []
-    score_history: list[float] = []
-    best_score = -np.inf
-    best_epoch = 0
-    best_params = None
-    bad_epochs = 0
-    stopped_early = False
+    The networks step in lockstep as one stack. Their parameters, Adam moments
+    and gradients are the rows of (K, P) arrays, so one numpy call serves
+    every member whose batch has the same row count. Each member keeps its
+    own seed, batch order, validation split, penalty scale and early
+    stopping, and leaves the stack when it stops. Batches are gathered from
+    one scaled copy of `data`. The networks must share layer shapes,
+    activations, input bounds and output names, and the configs may differ
+    only in `seed`; otherwise ValueError, before any step.
+    """
+    nets, configs = list(nets), list(configs)
+    rows = [None] * len(nets) if rows is None else list(rows)
+    if not nets or len(configs) != len(nets) or len(rows) != len(nets):
+        raise ValueError("train_stack needs one config and one row set per network")
+    first, config = nets[0], configs[0]
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(x_tr))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch_idx = order[start : start + config.batch_size]
-            xb, tb = x_tr[batch_idx], t_tr[batch_idx]
-            cache = _forward_full(model, xb)
-            batch_loss = _loss(model, *cache, tb, config, reg_scale)
-            if not np.isfinite(batch_loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
-                )
-            epoch_loss += batch_loss * len(batch_idx)
-            grad = _flat(zip(*_backprop(model, xb, tb, config, reg_scale, cache)))
-            step += 1
-            adam_m = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grad
-            adam_v = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grad * grad
-            c1, c2 = 1 - ADAM_BETA1**step, 1 - ADAM_BETA2**step
-            params -= config.learning_rate * ((adam_m / c1) / (np.sqrt(adam_v / c2) + ADAM_EPSILON))
-        loss_history.append(epoch_loss / len(x_tr))
+    def layout(net):
+        shapes = [(layer.weights.shape, layer.activation) for layer in net.layers]
+        return shapes, net.output_names, net.input_bounds.tolist()
 
-        if has_validation:
-            score = _validation_score(model, x_val, t_val, config.loss)
-            score_history.append(score)
-            if score > best_score:
-                best_score = score
-                best_epoch = epoch
-                best_params = params.copy()
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= config.patience:
-                    stopped_early = True
-                    break
-        else:
-            score_history.append(float("nan"))
-            best_epoch = epoch
+    if any(layout(net) != layout(first) for net in nets[1:]):
+        raise ValueError("stacked networks must share layer shapes, activations, input bounds and output names")
+    if any(replace(other, seed=config.seed) != config for other in configs[1:]):
+        raise ValueError("stacked configs may differ only in seed")
 
-    if best_params is not None:
-        params[...] = best_params
+    x, targets, labels = _resolve_training_arrays(first, data, config)
+    x = scale(x, first.input_bounds)
+    stack = []  # stack[r] is the member whose state is row r of the arrays below
+    for member_rows, member_config in zip(rows, configs):
+        member_rows = np.arange(len(x)) if member_rows is None else np.asarray(member_rows, dtype=int)
+        if len(member_rows) == 0:
+            raise TrainingError("training data is empty")
+        member_labels = None if labels is None else labels[member_rows]
+        split = validation_split(len(member_rows), config.validation_fraction, member_config.seed, member_labels)
+        rng = np.random.default_rng(member_config.seed + 1)
+        stack.append(_Member(member_config, *(member_rows[idx] for idx in split), rng))
+    members = list(stack)
 
-    report = TrainReport(
-        epochs_run=len(loss_history),
-        train_loss_history=loss_history,
-        validation_score_history=score_history,
-        stopped_early=stopped_early,
-        best_epoch=best_epoch,
-    )
-    return model, report
+    # Elementwise work on whole (k, P) rows costs a third of the same work on
+    # strided per-layer views, so the penalty and its gradient are computed
+    # over rows (biases included, then ignored), with each member's penalty
+    # scale repeated along its row. `grad` doubles as scratch before
+    # _backprop fills it and after Adam's second moment has read it.
+    params = np.stack([_flat((layer.weights, layer.biases) for layer in net.layers) for net in nets])
+    adam_m, adam_v, best = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
+    reg_scale = np.repeat([[1.0 / len(m.train_rows)] for m in stack], params.shape[1], axis=1)
+    grad, spare = np.empty_like(params), np.empty_like(params)
+    weights, grads = _layer_views(params, first.layers), _layer_views(grad, first.layers)
+    spare_w = [w for w, _ in _layer_views(spare, first.layers)]
+    # per layer, pre-activations (overwritten by the deltas) and activations
+    # of K full batches; steps and validation chunks use the leading rows
+    capacity = len(nets) * config.batch_size
+    buffers = [[np.empty((capacity, b.shape[-1])) for _ in range(2)] for _, b in weights]
+
+    def leading(k, n, which):
+        return [bufs[which][: k * n].reshape(k, n, -1) for bufs in buffers]
+
+    def views(at) -> _Views:
+        return _Views([_LayerView(w[at], b[at], layer.activation) for (w, b), layer in zip(weights, first.layers)])
+
+    @cache
+    def plan(lo, hi, n):
+        """The views and buffers a step of rows lo..hi with n-row batches uses;
+        rows move by copying, so views made once stay valid."""
+        at, k = slice(lo, hi), hi - lo
+        forward_out = list(zip(leading(k, n, 0), leading(k, n, 1)))
+        magnitudes = [(abs_w[at], square_w[at]) for abs_w, (square_w, _) in zip(spare_w, grads)]
+        backprop_out = [(gw[at], gb[at], delta) for (gw, gb), delta in zip(grads, leading(k, n, 0))]
+        rows_of = [arr[at] for arr in (params, adam_m, adam_v, grad, spare, reg_scale)]
+        return views(at), forward_out, magnitudes, backprop_out, [w[at] for w in spare_w], rows_of
+
+    def reorder(perm):
+        """Row r takes what row perm[r] held; rows past len(perm) drop out."""
+        if perm != list(range(len(perm))):
+            for arr in (params, adam_m, adam_v, best, reg_scale):
+                arr[: len(perm)] = arr[perm]
+        stack[:] = [stack[p] for p in perm]
+
+    def step(lo, hi, n):
+        net, forward_out, magnitudes, backprop_out, penalty, (p, first_moment, second_moment, g, sp, reg) = plan(lo, hi, n)
+        group = stack[lo:hi]
+        idx = np.array([m.order[m.pos : m.pos + n] for m in group])
+        xb, tb = np.take(x, idx, axis=0), np.take(targets, idx, axis=0)
+        zs_acts = _forward_full(net, xb, out=forward_out)
+        np.abs(p, out=sp)
+        np.multiply(p, p, out=g)
+        loss = _loss(net, *zs_acts, tb, config, reg[:, 0], magnitudes)
+        if not np.isfinite(loss).all():
+            m = group[int(np.argmin(np.isfinite(loss)))]
+            raise TrainingError(f"non-finite loss at epoch {len(m.loss_history) + 1}, batch {m.pos // config.batch_size}")
+        _penalty_grad(p, config, reg, sp, g)
+        _backprop(net, xb, tb, config, reg[:, 0], zs_acts, backprop_out, penalty)
+        for m, value in zip(group, loss.tolist()):
+            m.epoch_loss += value * n
+            m.pos += n
+            m.steps += 1
+        c1, c2 = (_bias_correction(beta, [m.steps for m in group]) for beta in (ADAM_BETA1, ADAM_BETA2))
+        _adam_step(p, first_moment, second_moment, g, c1, c2, config.learning_rate, sp, g)
+
+    def validate(at, n):
+        """Scores of rows `at`, n validation rows each; in the buffers if they fit."""
+        idx = np.array([m.val_rows for m in stack[at]])
+        out = list(zip(leading(len(idx), n, 0), leading(len(idx), n, 1))) if len(idx) * n <= capacity else None
+        return _validation_score(views(at), x[idx], targets[idx], config.loss, out).tolist()
+
+    results = {}
+    for m in stack:
+        m.next_epoch()
+    while stack:
+        sizes = [min(config.batch_size, len(m.order) - m.pos) for m in stack]
+        if len(set(sizes)) > 1:  # make members with equal batch sizes adjacent
+            perm = sorted(range(len(stack)), key=lambda r: -sizes[r])
+            reorder(perm)
+            sizes = [sizes[r] for r in perm]
+        for lo, hi, n in _runs(sizes):
+            step(lo, hi, n)
+        ended = [m.pos == len(m.order) for m in stack]
+        if not any(ended):
+            continue
+
+        # members at an epoch's end validate in runs of adjacent rows with equal
+        # validation counts, in chunks of at most `capacity` rows
+        scores = {}
+        for lo, hi, n in _runs([done and len(m.val_rows) for m, done in zip(stack, ended)]):
+            chunk = max(1, capacity // n)
+            for c in range(lo, hi, chunk):
+                scores.update(zip(range(c, hi), validate(slice(c, min(c + chunk, hi)), n)))
+        keep = []
+        for r, (m, done) in enumerate(zip(stack, ended)):
+            if done:
+                snapshot, stop = m.end_epoch(scores.get(r))
+                if snapshot:
+                    best[r] = params[r]
+                if stop:
+                    j = members.index(m)
+                    model = nets[j].copy()
+                    _share_parameters(model)[...] = best[r] if m.best_score > -np.inf else params[r]
+                    report = TrainReport(len(m.loss_history), m.loss_history, m.score_history, m.stopped_early, m.best_epoch)
+                    results[j] = (model, report)
+                    continue
+                m.next_epoch()
+            keep.append(r)
+        if len(keep) < len(stack):
+            reorder(keep)
+    return [results[j] for j in range(len(nets))]
 
 
 # --------------------------------------------------------------------------

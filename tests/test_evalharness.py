@@ -3,9 +3,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hornnet.datakit import SPURIOUS_FEATURE, Dataset, SynthConfig, generate_synthetic
+from hornnet.datakit import (
+    CLASSES,
+    SPURIOUS_FEATURE,
+    Dataset,
+    SynthConfig,
+    feature_bounds,
+    generate_synthetic,
+    kfold_split,
+    subset,
+)
 from hornnet.evalharness import (
     MODEL_NAMES,
+    _cross_validate,
+    build_baseline,
     compute_metrics,
     correlation_table,
     derive_seed,
@@ -15,7 +26,9 @@ from hornnet.evalharness import (
     report_to_json,
     run_comparison,
 )
-from hornnet.rulelang import parse_rules
+from hornnet.kbann import CompileConfig, compile_rules
+from hornnet.rulelang import parse_rules, rewrite_disjuncts
+from hornnet.tensornet import TrainConfig, predict_labels, train
 
 
 def brute_force_metrics(predictions, truth, classes):
@@ -187,6 +200,36 @@ class TestComparison:
         for _, val_idx in folds:
             counts[val_idx] += 1
         assert np.all(counts == 1)
+
+
+def per_fold_cross_validation(source, k, seed, builder):
+    """The loop that `_cross_validate` stacks: one `train` call per fold."""
+    scores = []
+    for fold, (train_idx, val_idx) in enumerate(kfold_split(source, k, seed)):
+        fold_seed = derive_seed(seed, f"fold{fold}")
+        trained, _ = train(builder(fold_seed), subset(source, train_idx), TrainConfig(seed=fold_seed))
+        val = subset(source, val_idx)
+        preds = predict_labels(trained, val.rows).astype(str)
+        scores.append(float((preds == val.labels.astype(str)).mean()))
+    return float(np.mean(scores)), float(np.std(scores))
+
+
+class TestCrossValidation:
+    @pytest.mark.parametrize("folds", [3, 10])
+    @pytest.mark.parametrize("kind", ["baseline", "compiled"])
+    def test_stacked_folds_equal_per_fold_training(self, small_setup, kind, folds):
+        rules, data, _ = small_setup
+        bounds = feature_bounds(data)
+
+        def builder(seed):
+            if kind == "baseline":
+                net = build_baseline(data, seed)
+            else:
+                net = compile_rules(rewrite_disjuncts(rules), data.feature_names, CLASSES, CompileConfig(seed=seed))
+            return replace(net, input_bounds=bounds)
+
+        seed = derive_seed(5, f"cv-{kind}")
+        assert _cross_validate(data, folds, seed, builder) == per_fold_cross_validation(data, folds, seed, builder)
 
 
 class TestSeeds:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hornnet import tensornet
-from hornnet.datakit import CLASSES, Dataset, SynthConfig, feature_bounds, generate_synthetic, scale
+from hornnet.datakit import CLASSES, Dataset, SynthConfig, feature_bounds, generate_synthetic, scale, subset
 from hornnet.kbann import CompileConfig, compile_rules
 from hornnet.tensornet import (
     Layer,
@@ -25,6 +25,7 @@ from hornnet.tensornet import (
     predictor,
     save_network,
     train,
+    train_stack,
     validation_split,
 )
 
@@ -312,6 +313,24 @@ class TestTrain:
             TrainConfig(validation_fraction=1.0)
         TrainConfig(learning_rate=0.0)  # zero step size is allowed
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("l1", -1.0),
+            ("l1", float("nan")),
+            ("l1", float("inf")),
+            ("l2", -1.0),
+            ("l2", float("nan")),
+        ],
+    )
+    def test_non_finite_rate_and_negative_penalties_rejected(self, name, value):
+        # l1=-1 would reward large weights; lr=nan used to fail later as a
+        # "non-finite loss at epoch 1, batch 1"
+        with pytest.raises(ValueError, match=name if name != "l2" else "l1 and l2"):
+            TrainConfig(**{name: value})
+
 
 def _reference_train(net, data, config):
     """The per-layer training loop that the flat parameter vector replaced:
@@ -416,7 +435,7 @@ class TestFlatParameterTraining:
         calls = []
         real = tensornet._forward_full
 
-        def counting(net, x, start=0):
+        def counting(net, x, start=0, out=None):
             calls.append(len(x))
             return real(net, x, start)
 
@@ -427,6 +446,90 @@ class TestFlatParameterTraining:
         batches = -(-len(train_idx) // config.batch_size)
         assert len(val_idx) > 0
         assert len(calls) == report.epochs_run * (batches + 1)
+
+
+class TestTrainStack:
+    """Stacked members train exactly as they would alone."""
+
+    @staticmethod
+    def separately(nets, data, configs, rows):
+        if isinstance(data, Dataset):
+            subsets = [subset(data, r) for r in rows]
+        else:
+            subsets = [(data[0][r], data[1][r]) for r in rows]
+        return [train(net, part, config) for net, part, config in zip(nets, subsets, configs)]
+
+    def assert_stack_equals_separate(self, nets, data, configs, rows):
+        stacked = train_stack(nets, data, configs, rows)
+        for (model, report), (ref, ref_report) in zip(stacked, self.separately(nets, data, configs, rows)):
+            for got, want in zip(model.layers, ref.layers):
+                assert got.weights.tobytes() == want.weights.tobytes()
+                assert got.biases.tobytes() == want.biases.tobytes()
+            assert np.array(report.train_loss_history).tobytes() == np.array(ref_report.train_loss_history).tobytes()
+            got_scores, want_scores = report.validation_score_history, ref_report.validation_score_history
+            assert np.array(got_scores).tobytes() == np.array(want_scores).tobytes()
+            assert report.best_epoch == ref_report.best_epoch
+            assert report.stopped_early == ref_report.stopped_early
+            assert report.epochs_run == ref_report.epochs_run
+        return [report for _, report in stacked]
+
+    def test_ragged_batches_different_stops_and_no_validation(self):
+        data, _ = generate_synthetic(SynthConfig(n_rows=150, n_test=20, seed=11))
+        seeds = [3, 4, 5, 6, 7]
+        nets = [replace(build_mlp(data.n_features, [12, 8], 2, seed=s, class_names=list(CLASSES)), input_bounds=feature_bounds(data)) for s in seeds]
+        configs = [TrainConfig(seed=s, max_epochs=30, batch_size=16) for s in seeds]
+        # 150, 141, 131 and 97 rows leave last batches of 7, 15, 6 and 8 rows
+        # after validation; 9 rows give no validation rows (int(0.9) == 0)
+        order = np.random.default_rng(1).permutation(150)
+        rows = [np.arange(150), order[:141], np.sort(order[:131]), order[40:137], order[:9]]
+        reports = self.assert_stack_equals_separate(nets, data, configs, rows)
+        assert len({r.epochs_run for r in reports}) > 1  # members leave at different epochs
+        assert reports[-1].epochs_run == 30 and np.isnan(reports[-1].validation_score_history).all()
+
+    def test_compiled_sigmoid_net(self, ct_rules):
+        data, _ = generate_synthetic(SynthConfig(n_rows=160, n_test=20, seed=5))
+        bounds = feature_bounds(data)
+        seeds = [5, 6, 7]
+        nets = [replace(compile_rules(ct_rules, data.feature_names, CLASSES, CompileConfig(seed=s)), input_bounds=bounds) for s in seeds]
+        assert {layer.activation for layer in nets[0].layers[:-1]} == {"sigmoid"}
+        configs = [TrainConfig(seed=s, max_epochs=15) for s in seeds]
+        rows = [np.arange(160), np.arange(3, 150), np.arange(0, 160, 2)]
+        self.assert_stack_equals_separate(nets, data, configs, rows)
+
+    def test_mean_squared_error(self, toy_dataset):
+        x = toy_dataset.rows
+        specs = [(4, "relu"), (2, "sigmoid"), (3, "linear")]
+        seeds = [6, 7, 8]
+        nets = [build_network(3, specs, seed=s) for s in seeds]
+        configs = [TrainConfig(seed=s, loss="mean_squared_error", max_epochs=20, batch_size=8) for s in seeds]
+        rows = [np.arange(60), np.arange(10, 60), np.arange(0, 60, 3)]
+        self.assert_stack_equals_separate(nets, (x, x), configs, rows)
+
+    def test_every_row_when_rows_not_given(self, toy_dataset):
+        nets = [build_mlp(3, [5], 2, seed=s, class_names=["Low", "High"]) for s in (1, 2)]
+        configs = [TrainConfig(seed=s, max_epochs=8, batch_size=8) for s in (1, 2)]
+        stacked = train_stack(nets, toy_dataset, configs)
+        for (model, _), net, config in zip(stacked, nets, configs):
+            ref, _ = train(net, toy_dataset, config)
+            assert all(a.weights.tobytes() == b.weights.tobytes() for a, b in zip(model.layers, ref.layers))
+
+    @pytest.mark.parametrize(
+        "second, config",
+        [
+            (build_mlp(3, [6], 2, seed=2), TrainConfig(seed=2)),  # layer shapes
+            (build_network(3, [(5, "sigmoid"), (2, "softmax")], seed=2), TrainConfig(seed=2)),  # activations
+            (build_mlp(3, [5], 2, seed=2), TrainConfig(seed=2, learning_rate=0.01)),
+            (build_mlp(3, [5], 2, seed=2), TrainConfig(seed=2, max_epochs=7)),
+        ],
+    )
+    def test_mismatched_members_rejected_before_any_step(self, second, config, toy_dataset, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(tensornet, "_forward_full", no_step)
+        first = build_mlp(3, [5], 2, seed=1)
+        with pytest.raises(ValueError, match="stacked"):
+            train_stack([first, second], toy_dataset, [TrainConfig(seed=1), config])
 
 
 class TestGradientCheck:
