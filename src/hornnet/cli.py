@@ -75,7 +75,7 @@ def _resolve(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> No
     config = {}
     path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if path:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 config = json.load(fh)
             except ValueError as exc:  # not UTF-8, or not JSON
@@ -235,7 +235,7 @@ def _cmd_train(args, out: Path) -> list[Path]:
     )
     if model_kind == "nsai":
         inputs.append(Path(args.rules))
-        rules = rewrite_disjuncts(parse_rules(Path(args.rules).read_text(encoding="utf-8")))
+        rules = rewrite_disjuncts(parse_rules(Path(args.rules).read_text(encoding="utf-8-sig")))
         net = kbann.compile_rules(
             rules,
             data.feature_names,
@@ -266,9 +266,12 @@ def _cmd_train(args, out: Path) -> list[Path]:
 
 
 def _scoring_inputs(args) -> tuple[tensornet.Network, datakit.Dataset]:
-    """The --model network and the --data CSV with its feature columns matched by
-    name to the network's `input_names`, in that order."""
+    """The --model network, whose outputs must be `CLASSES`, and the --data CSV
+    with its feature columns matched by name to the network's `input_names`,
+    in that order."""
     net = tensornet.load_network(args.model_path)
+    if tuple(net.output_names) != CLASSES:
+        raise ValueError(f"{args.model_path}: model outputs {', '.join(net.output_names)} are not {', '.join(CLASSES)}")
     data = datakit.load_csv(args.data)
     if missing := [name for name in net.input_names if name not in data.feature_names]:
         raise datakit.DataError(f"{args.data}: missing feature column(s) the model needs: {', '.join(missing)}")
@@ -333,7 +336,7 @@ def _cmd_extract(args, out: Path) -> list[Path]:
 def _cmd_compare(args, out: Path) -> list[Path]:
     train_data = datakit.load_csv(args.train_path)
     test_data = datakit.load_csv(args.test_path)
-    rules = parse_rules(Path(args.rules).read_text(encoding="utf-8"))
+    rules = parse_rules(Path(args.rules).read_text(encoding="utf-8-sig"))
     report = evalharness.run_comparison(
         train_data, test_data, rules, master_seed=args.seed, cv_folds=args.cv_folds
     )

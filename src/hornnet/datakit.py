@@ -182,7 +182,7 @@ def load_csv(path) -> Dataset:
     `origin` provenance column is read back if present. Cell-level problems
     are reported with 1-based (row, column) positions.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a byte-order mark
         reader = csv.reader(fh)
         try:
             header = next(reader)

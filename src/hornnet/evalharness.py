@@ -61,6 +61,8 @@ def compute_metrics(predictions, truth, classes=None) -> Metrics:
         classes = CLASSES if set(names) <= set(CLASSES) else tuple(names)
     classes = tuple(classes)
     index = {c: i for i, c in enumerate(classes)}
+    if unknown := [name for name in names if name not in index]:
+        raise ValueError(f"label {unknown[0]!r} is not one of the classes {', '.join(classes)}")
     codes = np.array([index[name] for name in names], dtype=int)[inverse]
     k = len(classes)
     n = truth.shape[0]
@@ -139,29 +141,29 @@ def build_baseline(data: Dataset, seed: int) -> tensornet.Network:
     )
 
 
-def _fit(builder, source: Dataset, seed: int):
-    """Build a net with `seed` and train it on `source` with the same seed."""
-    return tensornet.train(builder(seed), source, tensornet.TrainConfig(seed=seed))
+def _train_with_folds(builder, source: Dataset, seed: int, cv_seed: int, k: int):
+    """Train `builder(seed)` on all of `source` and cross-validate it, in one
+    `tensornet.train_stack` call: member 0 is the final net, members 1..k the
+    fold nets, seeded from `cv_seed` and trained on their folds' rows.
 
-
-def _cross_validate(source: Dataset, k: int, seed: int, builder) -> tuple[float, float]:
-    """Mean and std of the folds' validation accuracy. The K fold nets train
-    in lockstep as one `tensornet.train_stack` call, each exactly as `_fit`
-    would train it on its fold's rows."""
-    folds = datakit.kfold_split(source, k, seed)
-    fold_seeds = [derive_seed(seed, f"fold{fold}") for fold in range(len(folds))]
-    stack = tensornet.train_stack(
-        [builder(s) for s in fold_seeds],
+    Returns the final net, its `TrainReport`, and the mean and std of the
+    folds' validation accuracy. Each member's weights are those of training
+    it alone with `tensornet.train`.
+    """
+    folds = datakit.kfold_split(source, k, cv_seed)
+    seeds = [seed] + [derive_seed(cv_seed, f"fold{fold}") for fold in range(len(folds))]
+    (model, report), *fold_nets = tensornet.train_stack(
+        [builder(s) for s in seeds],
         source,
-        [tensornet.TrainConfig(seed=s) for s in fold_seeds],
-        [train_idx for train_idx, _ in folds],
+        [tensornet.TrainConfig(seed=s) for s in seeds],
+        [None] + [train_idx for train_idx, _ in folds],
     )
     scores = []
-    for (trained, _), (_, val_idx) in zip(stack, folds):
+    for (trained, _), (_, val_idx) in zip(fold_nets, folds):
         val = datakit.subset(source, val_idx)
         preds = tensornet.predict_labels(trained, val.rows).astype(str)
         scores.append(float((preds == val.labels.astype(str)).mean()))
-    return float(np.mean(scores)), float(np.std(scores))
+    return model, report, (float(np.mean(scores)), float(np.std(scores)))
 
 
 def run_comparison(
@@ -202,17 +204,16 @@ def run_comparison(
         "deep_nn_autoencoder": ae_train,
         "nsai": train_data,
     }
-    builders = {name: compiled_net if name == "nsai" else baseline_net for name in MODEL_NAMES}
-    models: dict[str, tensornet.Network] = {}
-    train_reports: dict[str, tensornet.TrainReport] = {}
-    for name in MODEL_NAMES:
-        seed = derive_seed(master_seed, name)
-        models[name], train_reports[name] = _fit(builders[name], sources[name], seed)
-
+    models, train_reports, cv_accuracy, test_metrics, importances = {}, {}, {}, {}, {}
     truth = test_data.labels.astype(str)
-    test_metrics = {}
-    importances = {}
     for name in MODEL_NAMES:
+        models[name], train_reports[name], cv_accuracy[name] = _train_with_folds(
+            compiled_net if name == "nsai" else baseline_net,
+            sources[name],
+            derive_seed(master_seed, name),
+            derive_seed(master_seed, f"cv-{name}"),
+            cv_folds,
+        )
         preds = tensornet.predict_labels(models[name], test_data.rows).astype(str)
         test_metrics[name] = compute_metrics(preds, truth, CLASSES)
         importances[name] = kbann.permutation_importance(
@@ -222,11 +223,6 @@ def run_comparison(
             repeats=IMPORTANCE_REPEATS,
             seed=derive_seed(master_seed, f"perm-{name}"),
         )
-
-    cv_accuracy = {
-        name: _cross_validate(sources[name], cv_folds, derive_seed(master_seed, f"cv-{name}"), builders[name])
-        for name in MODEL_NAMES
-    }
 
     correlations, flags = correlation_table(
         [

@@ -284,6 +284,51 @@ class TestScoringInputs:
         assert err.startswith("hornnet: error: every feature is constant") and err.count("\n") == 1
         assert not (tmp_path / "x" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("outputs", [("Pass", "Fail"), ("High", "Low")], ids=["renamed", "reversed"])
+    @pytest.mark.parametrize("command", ["evaluate", "explain", "extract"])
+    def test_model_outputs_must_be_the_classes(self, tmp_path, synth_dir, nsai, capsys, command, outputs):
+        path = tmp_path / "outputs.npz"
+        tensornet.save_network(replace(tensornet.load_network(nsai), output_names=list(outputs)), path)
+        capsys.readouterr()
+        argv = [command, "--model", str(path), "--data", str(synth_dir / "test.csv"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"hornnet: error: {path}: model outputs {', '.join(outputs)} are not Low, High\n"
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as Excel writes it, is read past in every text input."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def _with_bom(self, path: Path, to: Path) -> Path:
+        to.write_bytes(self.BOM + path.read_bytes())
+        return to
+
+    def test_csv_trains_the_same_model(self, tmp_path, synth_dir):
+        plain = synth_dir / "train.csv"
+        bom = self._with_bom(plain, tmp_path / "bom.csv")
+        assert datakit.load_csv(bom).feature_names == datakit.load_csv(plain).feature_names
+        for name, path in (("plain", plain), ("bom", bom)):
+            assert main(["train", "--data", str(path), "--max-epochs", "5", "--seed", "7", "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "bom" / "model.npz").read_bytes() == (tmp_path / "plain" / "model.npz").read_bytes()
+
+    def test_rule_file_is_accepted(self, tmp_path, synth_dir, rules_file):
+        bom = self._with_bom(rules_file, tmp_path / "bom.rules")
+        data = ["--data", str(synth_dir / "train.csv"), "--max-epochs", "5"]
+        for name, rules in (("plain", rules_file), ("bom", bom)):
+            assert main(["train", *data, "--rules", str(rules), "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "bom" / "model.npz").read_bytes() == (tmp_path / "plain" / "model.npz").read_bytes()
+        compare = ["compare", "--train", str(synth_dir / "train.csv"), "--test", str(synth_dir / "test.csv")]
+        assert main([*compare, "--rules", str(bom), "--cv-folds", "2", "--out", str(tmp_path / "c")]) == 0
+
+    def test_config_file_is_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(self.BOM + json.dumps({"rows": 33, "test_rows": 12}).encode())
+        out = tmp_path / "d"
+        assert main(["synth", "--seed", "1", "--out", str(out), "--config", str(cfg)]) == 0
+        assert len((out / "train.csv").read_text().splitlines()) == 34
+
 
 class TestCompare:
     def test_compare_runs_and_reproduces(self, tmp_path, rules_file):

@@ -1,8 +1,10 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hornnet import augment, tensornet
 from hornnet.datakit import (
     CLASSES,
     SPURIOUS_FEATURE,
@@ -15,7 +17,7 @@ from hornnet.datakit import (
 )
 from hornnet.evalharness import (
     MODEL_NAMES,
-    _cross_validate,
+    _train_with_folds,
     build_baseline,
     compute_metrics,
     correlation_table,
@@ -89,6 +91,10 @@ class TestMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             compute_metrics(["High"], ["High", "Low"])
+
+    def test_label_outside_classes_named(self):
+        with pytest.raises(ValueError, match="'Pass' is not one of the classes Low, High"):
+            compute_metrics(["Pass", "High"], ["High", "Low"], ("Low", "High"))
 
 
 class TestCorrelationTable:
@@ -203,7 +209,7 @@ class TestComparison:
 
 
 def per_fold_cross_validation(source, k, seed, builder):
-    """The loop that `_cross_validate` stacks: one `train` call per fold."""
+    """The loop that `_train_with_folds` stacks: one `train` call per fold."""
     scores = []
     for fold, (train_idx, val_idx) in enumerate(kfold_split(source, k, seed)):
         fold_seed = derive_seed(seed, f"fold{fold}")
@@ -228,8 +234,38 @@ class TestCrossValidation:
                 net = compile_rules(rewrite_disjuncts(rules), data.feature_names, CLASSES, CompileConfig(seed=seed))
             return replace(net, input_bounds=bounds)
 
-        seed = derive_seed(5, f"cv-{kind}")
-        assert _cross_validate(data, folds, seed, builder) == per_fold_cross_validation(data, folds, seed, builder)
+        seed, cv_seed = derive_seed(5, kind), derive_seed(5, f"cv-{kind}")
+        model, report, cv = _train_with_folds(builder, data, seed, cv_seed, folds)
+        assert cv == per_fold_cross_validation(data, folds, cv_seed, builder)
+        # member 0 of the stack is the final net, exactly as `train` alone gives it
+        want, want_report = train(builder(seed), data, TrainConfig(seed=seed))
+        for got_layer, want_layer in zip(model.layers, want.layers, strict=True):
+            assert got_layer.weights.tobytes() == want_layer.weights.tobytes()
+            assert got_layer.biases.tobytes() == want_layer.biases.tobytes()
+        assert report == want_report
+
+    def test_one_stack_per_model_kind(self, small_setup, monkeypatch):
+        # each model kind trains its final net and its folds in one direct
+        # `train_stack` call; the only `train` call is the autoencoder's
+        rules, data, test = small_setup
+        stacks, trains = [], []
+        real_stack, real_train = tensornet.train_stack, tensornet.train
+
+        def counting_stack(nets, *args, **kwargs):
+            stacks.append((sys._getframe(1).f_globals["__name__"], len(nets)))
+            return real_stack(nets, *args, **kwargs)
+
+        def counting_train(*args, **kwargs):
+            trains.append(sys._getframe(1).f_globals["__name__"])
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(tensornet, "train_stack", counting_stack)
+        monkeypatch.setattr(tensornet, "train", counting_train)
+        monkeypatch.setattr(augment, "train", counting_train)
+        run_comparison(data, test, rules, master_seed=5, cv_folds=3)
+        assert [n for caller, n in stacks if caller == "hornnet.evalharness"] == [4] * 4
+        assert [n for caller, n in stacks if caller != "hornnet.evalharness"] == [1]  # inside train
+        assert trains == ["hornnet.augment"]
 
 
 class TestSeeds:
