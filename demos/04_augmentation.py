@@ -5,12 +5,10 @@ compact latent model of the minority class and samples from it. Both
 equalize the 364:63 class split and tag synthetic rows with their origin.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
-from hornnet.augment import AutoencoderConfig, SmoteConfig, balance_with_autoencoder, smote, train_autoencoder
-from hornnet.datakit import SynthConfig, feature_bounds, generate_synthetic, scale
+from hornnet.augment import AUTOENCODER_WIDTHS, SmoteConfig, balance_with_autoencoder, smote
+from hornnet.datakit import SynthConfig, generate_synthetic
 from hornnet.evalharness import correlation_table
 
 train, _ = generate_synthetic(SynthConfig(seed=1))
@@ -24,12 +22,9 @@ ae_balanced = balance_with_autoencoder(train, seed=1)
 print(f"after autoencoder:     {ae_balanced.class_counts()}")
 print(f"  synthetic rows appended: {(ae_balanced.origin == 'autoencoder').sum()}")
 
-# the autoencoder, as inside balance_with_autoencoder, learns min-max-scaled rows
-scaled = replace(train, rows=scale(train.rows, feature_bounds(train)))
-ae = train_autoencoder(scaled, AutoencoderConfig())
-widths = [layer.out_units for layer in ae.network.layers]
+# the autoencoder's layers, from the features through the latent code and back
+widths = (*AUTOENCODER_WIDTHS, train.n_features)
 print(f"\nautoencoder layer widths: {train.n_features} -> {' -> '.join(map(str, widths))}")
-print(f"  epochs run: {ae.report.epochs_run}, best epoch: {ae.report.best_epoch}")
 
 print("\nhow augmentation shifts the feature/label correlations:")
 table, _ = correlation_table([("original", train), ("smote", smoted), ("autoencoder", ae_balanced)])

@@ -51,13 +51,9 @@ from .kbann import (  # noqa: F401
     verify_compiled_logic,
 )
 from .augment import (  # noqa: F401
-    Autoencoder,
-    AutoencoderConfig,
     SmoteConfig,
-    autoencoder_sample,
     balance_with_autoencoder,
     smote,
-    train_autoencoder,
 )
 from .explain import (  # noqa: F401
     Explanation,

@@ -3,21 +3,18 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .datakit import Dataset, feature_bounds, scale
-from .tensornet import Network, TrainConfig, TrainReport, _forward_full, build_network, forward, train
+from .tensornet import TrainConfig, _forward_full, build_network, forward, train
 
 __all__ = [
     "SmoteConfig",
-    "AutoencoderConfig",
-    "Autoencoder",
+    "AUTOENCODER_WIDTHS",
     "AugmentError",
     "smote",
-    "train_autoencoder",
-    "autoencoder_sample",
     "balance_with_autoencoder",
 ]
 
@@ -174,100 +171,20 @@ def _closest(points: np.ndarray, rows: np.ndarray, candidates: np.ndarray, k: in
 # Autoencoder
 # --------------------------------------------------------------------------
 
-
-@dataclass
-class AutoencoderConfig:
-    encoder_widths: tuple[int, ...] = (8, 4, 2)
-    decoder_widths: tuple[int, ...] = (4, 8)
-    train: TrainConfig = field(
-        default_factory=lambda: TrainConfig(loss="mean_squared_error")
-    )
-    noise_scale: float = 1.0
-
-    def __post_init__(self):
-        if any(w < 1 for w in tuple(self.encoder_widths) + tuple(self.decoder_widths)):
-            raise AugmentError("all layer widths must be >= 1")
-        if self.noise_scale < 0:
-            raise AugmentError("noise_scale must be >= 0")
+# ReLU widths from the input side; the middle layer's output is the latent code.
+AUTOENCODER_WIDTHS = (8, 4, 2, 4, 8)
 
 
-@dataclass
-class Autoencoder:
-    network: Network
-    bottleneck_layer: int  # layer index whose output is the latent code
-    report: TrainReport
-    noise_scale: float
-
-
-def train_autoencoder(data: Dataset, config: AutoencoderConfig | None = None) -> Autoencoder:
-    """Train encoder+decoder end-to-end on the feature rows (labels ignored)."""
-    config = config or AutoencoderConfig()
-    if data.n_rows < 2:
-        raise AugmentError("need at least 2 samples to train an autoencoder")
-    specs = (
-        [(w, "relu") for w in config.encoder_widths]
-        + [(w, "relu") for w in config.decoder_widths]
-        + [(data.n_features, "linear")]
-    )
-    net = build_network(
-        data.n_features,
-        specs,
-        seed=config.train.seed,
-        input_names=list(data.feature_names),
-        output_names=list(data.feature_names),
-    )
-    train_cfg = replace(config.train, loss="mean_squared_error")
-    trained, report = train(net, (data.rows, data.rows), train_cfg)
-    return Autoencoder(
-        network=trained,
-        bottleneck_layer=len(config.encoder_widths) - 1,
-        report=report,
-        noise_scale=config.noise_scale,
-    )
-
-
-def _encode(ae: Autoencoder, rows: np.ndarray) -> np.ndarray:
-    return forward(ae.network, rows)[ae.bottleneck_layer]
-
-
-def _decode(ae: Autoencoder, latents: np.ndarray) -> np.ndarray:
-    _, acts = _forward_full(ae.network, latents, start=ae.bottleneck_layer + 1)
-    return acts[-1]
-
-
-def autoencoder_sample(ae: Autoencoder, data: Dataset, class_label: str, n: int, seed: int = 0) -> np.ndarray:
-    """Draw n synthetic feature vectors for one class.
-
-    The class's rows are encoded, a per-dimension Gaussian is fitted to the
-    latent codes, n latents are drawn at noise_scale * std around the means,
-    decoded, and clipped to the observed per-feature min/max of `data`.
-    """
-    if n < 1:
-        raise AugmentError("n must be >= 1")
-    member_rows = data.rows[data.labels == class_label]
-    if member_rows.shape[0] == 0:
-        raise AugmentError(f"class {class_label!r} absent from data")
-    codes = _encode(ae, member_rows)
-    means = codes.mean(axis=0)
-    stds = codes.std(axis=0)
-    rng = np.random.default_rng(seed)
-    latents = means + ae.noise_scale * stds * rng.standard_normal((n, codes.shape[1]))
-    decoded = _decode(ae, latents)
-    lo = data.rows.min(axis=0)
-    hi = data.rows.max(axis=0)
-    return np.clip(decoded, lo, hi)
-
-
-def balance_with_autoencoder(
-    data: Dataset, config: AutoencoderConfig | None = None, seed: int = 0
-) -> Dataset:
+def balance_with_autoencoder(data: Dataset, seed: int = 0) -> Dataset:
     """Equalize classes by appending autoencoder-sampled minority rows.
 
-    The autoencoder is trained on min-max-scaled features (raw telemetry
-    scales condition training poorly); samples are mapped back to raw units
-    before clipping and appending. Synthetic rows get origin "autoencoder".
+    The autoencoder, `AUTOENCODER_WIDTHS` then a linear output layer, learns
+    all rows min-max-scaled (raw telemetry scales condition training poorly)
+    by mean squared error; its initialization and batch order use seed 0. A
+    Gaussian per latent dimension is fitted to the minority rows' codes, and
+    latents drawn from it with `seed` are decoded, clipped to the observed
+    ranges and mapped back to raw units, with origin "autoencoder".
     """
-    config = config or AutoencoderConfig()
     minority, n_min, majority, n_maj = _minority_majority(data)
     n_new = n_maj - n_min
     if n_new == 0:
@@ -275,8 +192,14 @@ def balance_with_autoencoder(
         return data
 
     bounds = np.array(feature_bounds(data))
-    scaled = replace(data, rows=scale(data.rows, bounds))
-    ae = train_autoencoder(scaled, config)
-    sampled = autoencoder_sample(ae, scaled, minority, n_new, seed=seed)
+    scaled = scale(data.rows, bounds)
+    specs = [(w, "relu") for w in AUTOENCODER_WIDTHS] + [(data.n_features, "linear")]
+    net = build_network(data.n_features, specs, seed=0)
+    net, _ = train(net, (scaled, scaled), TrainConfig(loss="mean_squared_error"))
+    bottleneck = len(AUTOENCODER_WIDTHS) // 2
+    codes = forward(net, scaled[data.labels == minority])[bottleneck]
+    noise = np.random.default_rng(seed).standard_normal((n_new, codes.shape[1]))
+    _, acts = _forward_full(net, codes.mean(axis=0) + codes.std(axis=0) * noise, start=bottleneck + 1)
+    sampled = np.clip(acts[-1], scaled.min(axis=0), scaled.max(axis=0))
     lo, hi = bounds[:, 0], bounds[:, 1]
     return _append_rows(data, sampled * (hi - lo) + lo, minority, "autoencoder")

@@ -272,11 +272,7 @@ def _scoring_inputs(args) -> tuple[tensornet.Network, datakit.Dataset]:
     net = tensornet.load_network(args.model_path)
     if tuple(net.output_names) != CLASSES:
         raise ValueError(f"{args.model_path}: model outputs {', '.join(net.output_names)} are not {', '.join(CLASSES)}")
-    data = datakit.load_csv(args.data)
-    if missing := [name for name in net.input_names if name not in data.feature_names]:
-        raise datakit.DataError(f"{args.data}: missing feature column(s) the model needs: {', '.join(missing)}")
-    order = [data.feature_names.index(name) for name in net.input_names]
-    return net, replace(data, feature_names=net.input_names, rows=data.rows.take(order, axis=1))
+    return net, datakit._match_columns(datakit.load_csv(args.data), net.input_names, args.data)
 
 
 def _cmd_evaluate(args, out: Path) -> list[Path]:
@@ -335,7 +331,8 @@ def _cmd_extract(args, out: Path) -> list[Path]:
 
 def _cmd_compare(args, out: Path) -> list[Path]:
     train_data = datakit.load_csv(args.train_path)
-    test_data = datakit.load_csv(args.test_path)
+    # run_comparison matches the columns too; here a missing one names the file
+    test_data = datakit._match_columns(datakit.load_csv(args.test_path), train_data.feature_names, args.test_path)
     rules = parse_rules(Path(args.rules).read_text(encoding="utf-8-sig"))
     report = evalharness.run_comparison(
         train_data, test_data, rules, master_seed=args.seed, cv_folds=args.cv_folds

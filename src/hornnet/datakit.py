@@ -160,6 +160,15 @@ def one_hot(labels, classes) -> np.ndarray:
     return out
 
 
+def _match_columns(data: Dataset, names, source) -> Dataset:
+    """`data` with its feature columns matched by name to `names`, in that order;
+    other columns are dropped. A missing one is a DataError naming `source`."""
+    if missing := [name for name in names if name not in data.feature_names]:
+        raise DataError(f"{source}: missing feature column(s) the model needs: {', '.join(missing)}")
+    order = [data.feature_names.index(name) for name in names]
+    return replace(data, feature_names=tuple(names), rows=data.rows.take(order, axis=1))
+
+
 def subset(data: Dataset, indices) -> Dataset:
     indices = np.asarray(indices, dtype=int)
     return replace(
@@ -200,7 +209,7 @@ def load_csv(path) -> Dataset:
         ]
         feature_names = [header[i] for i in feature_idx]
 
-        rows, labels, origins = [], [], []
+        rows, labels, origins, rownums = [], [], [], []
         for rownum, record in enumerate(reader, start=2):
             if not record or all(not c.strip() for c in record):
                 continue
@@ -223,14 +232,19 @@ def load_csv(path) -> Dataset:
                 )
             rows.append(values)
             labels.append(label)
+            rownums.append(rownum)
             if origin_idx is not None:
                 origins.append(record[origin_idx].strip())
 
     if not rows:
         raise DataError(f"{path}: no data rows")
+    rows = np.array(rows)
+    if not np.isfinite(rows).all():
+        r, c = np.argwhere(~np.isfinite(rows))[0]
+        raise DataError(f"{path}: non-finite cell {float(rows[r, c])!r} at row {rownums[r]}, column {feature_idx[c] + 1}")
     return Dataset(
         feature_names=tuple(feature_names),
-        rows=np.array(rows),
+        rows=rows,
         labels=np.array(labels, dtype=object),
         origin=np.array(origins, dtype=object) if origins else None,
     )

@@ -177,11 +177,13 @@ def run_comparison(
 
     Every model trains with the default `TrainConfig`, and the knowledge model
     compiles with the default `CompileConfig`. All models are scored on the
-    identical test rows; augmentation touches training rows only, and every
-    model scales with `train_data`'s bounds. Permutation importance shuffles
-    `datakit.SPURIOUS_FEATURE`. Rule compilation errors surface before any
-    training.
+    identical test rows, whose feature columns are matched by name to
+    `train_data`'s; augmentation touches training rows only, and every model
+    scales with `train_data`'s bounds. Permutation importance shuffles
+    `datakit.SPURIOUS_FEATURE`. A missing test column and rule compilation
+    errors surface before any augmentation or training.
     """
+    test_data = datakit._match_columns(test_data, train_data.feature_names, "test_data")
     rules = rewrite_disjuncts(rules)
     bounds = datakit.feature_bounds(train_data)
 

@@ -504,15 +504,9 @@ def validation_split(n, fraction, seed, labels=None):
     return np.flatnonzero(~mask), np.flatnonzero(mask)
 
 
-def _resolve_training_arrays(net: Network, data, config):
+def _resolve_training_arrays(net: Network, data):
     if isinstance(data, Dataset):
-        x = data.rows
-        if config.loss == "cross_entropy":
-            targets = one_hot(data.labels, net.output_names)
-            labels = data.labels
-        else:
-            targets = data.rows
-            labels = None
+        x, targets, labels = data.rows, one_hot(data.labels, net.output_names), data.labels
     else:
         x, targets = data
         x = np.asarray(x, dtype=np.float64)
@@ -663,9 +657,9 @@ def _adam_step(params, m, v, grad, c1, c2, learning_rate, t1, t2):
 def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport]:
     """Train a private copy of `net`; returns the best-validation-epoch weights.
 
-    `data` is a Dataset (targets are one-hot labels for cross-entropy, the
-    feature rows themselves for mean_squared_error) or an (x, targets) pair;
-    the inputs are raw and are scaled once with `net.input_bounds`.
+    `data` is a Dataset, whose targets are its labels one-hot over
+    `net.output_names`, or an (x, targets) pair; the inputs are raw and are
+    scaled once with `net.input_bounds`.
     Early stopping fires after `patience` epochs without validation-score
     improvement: accuracy for cross-entropy, negated MSE otherwise.
     """
@@ -701,7 +695,7 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
     if any(replace(other, seed=config.seed) != config for other in configs[1:]):
         raise ValueError("stacked configs may differ only in seed")
 
-    x, targets, labels = _resolve_training_arrays(first, data, config)
+    x, targets, labels = _resolve_training_arrays(first, data)
     x = scale(x, first.input_bounds)
     stack = []  # stack[r] is the member whose state is row r of the arrays below
     for member_rows, member_config in zip(rows, configs):

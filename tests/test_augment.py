@@ -1,21 +1,13 @@
 import logging
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hornnet import augment
-from hornnet.augment import (
-    AugmentError,
-    AutoencoderConfig,
-    SmoteConfig,
-    autoencoder_sample,
-    balance_with_autoencoder,
-    smote,
-    train_autoencoder,
-)
+from hornnet.augment import AUTOENCODER_WIDTHS, AugmentError, SmoteConfig, balance_with_autoencoder, smote
 from hornnet.datakit import Dataset, SynthConfig, generate_synthetic
-from hornnet.tensornet import TrainConfig, forward
 
 
 def imbalanced(seed=0, n_min=8, n_maj=24, d=3):
@@ -221,124 +213,100 @@ class TestSmoteNeighborBlocks:
         assert peak < augment._KNN_BLOCK_ELEMENTS * 8  # 16 MB
 
 
+def spy(monkeypatch, name):
+    """Record every call of `augment.<name>` (its arguments and result) in the returned list."""
+    calls = []
+    real = getattr(augment, name)
+
+    def wrapper(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(augment, name, wrapper)
+    return calls
+
+
 class TestAutoencoder:
-    def test_default_widths_for_nine_features(self):
-        rng = np.random.default_rng(0)
-        data = Dataset(
-            tuple(f"f{i}" for i in range(9)), rng.uniform(0, 1, (40, 9)),
-            np.array(["High"] * 30 + ["Low"] * 10, dtype=object),
-        )
-        ae = train_autoencoder(data, AutoencoderConfig(train=TrainConfig(seed=0, max_epochs=2)))
-        widths = [l.out_units for l in ae.network.layers]
-        assert widths == [8, 4, 2, 4, 8, 9]
-        assert ae.bottleneck_layer == 2
+    def test_default_widths_for_nine_features(self, monkeypatch):
+        built = spy(monkeypatch, "build_network")
+        balance_with_autoencoder(imbalanced(seed=0, n_min=10, n_maj=30, d=9))
+        (_, _, net), = built
+        assert [l.out_units for l in net.layers] == [8, 4, 2, 4, 8, 9]
+        assert [l.activation for l in net.layers] == ["relu"] * 5 + ["linear"]
+        assert AUTOENCODER_WIDTHS == (8, 4, 2, 4, 8)
 
     def test_constant_data_reconstructed(self):
-        rows = np.tile(np.array([[0.3, 0.7, 0.5]]), (30, 1))
-        data = Dataset(("a", "b", "c"), rows, np.array(["High"] * 30, dtype=object))
-        config = AutoencoderConfig(
-            train=TrainConfig(
-                seed=1, max_epochs=50, patience=50, batch_size=4,
-                l1=0.0, l2=0.0, learning_rate=0.02,
-            )
-        )
-        ae = train_autoencoder(data, config)
-        recon = forward(ae.network, rows)[-1]
-        assert float(((recon - rows) ** 2).mean()) < 1e-3
+        data = imbalanced(seed=1)
+        rows = np.column_stack([data.rows, np.full(data.n_rows, 0.7)])
+        data = replace(data, feature_names=data.feature_names + ("c",), rows=rows)
+        new = balance_with_autoencoder(data, seed=1).rows[data.n_rows :]
+        assert np.all(new[:, -1] == 0.7)
 
-    def test_validation_mse_improves(self):
-        rng = np.random.default_rng(2)
-        base = rng.uniform(0, 1, (60, 2))
-        rows = np.column_stack([base[:, 0], base[:, 0] * 0.5, base[:, 1], base[:, 1] * 2])
-        data = Dataset(("a", "b", "c", "d"), rows, np.array(["High"] * 60, dtype=object))
-        ae = train_autoencoder(
-            data,
-            AutoencoderConfig(
-                encoder_widths=(4, 2), decoder_widths=(4,),
-                train=TrainConfig(seed=2, max_epochs=100, l1=0.0, l2=0.0),
-            ),
-        )
-        scores = ae.report.validation_score_history  # negated MSE
-        assert max(scores) >= scores[0]
+    def test_validation_mse_improves(self, monkeypatch):
+        trained = spy(monkeypatch, "train")
+        train, _ = generate_synthetic(SynthConfig(seed=2))
+        balance_with_autoencoder(train, seed=2)
+        (_, _, (_, report)), = trained
+        scores = report.validation_score_history  # negated MSE
+        assert report.best_epoch > 1 and scores[report.best_epoch - 1] > scores[0]
 
-    def test_training_deterministic(self):
-        rng = np.random.default_rng(3)
-        data = Dataset(
-            ("a", "b"), rng.uniform(0, 1, (30, 2)), np.array(["High"] * 30, dtype=object)
-        )
-        cfg = AutoencoderConfig(encoder_widths=(3, 2), decoder_widths=(3,), train=TrainConfig(seed=3, max_epochs=10))
-        a = train_autoencoder(data, cfg)
-        b = train_autoencoder(data, cfg)
-        assert a.report.train_loss_history == b.report.train_loss_history
+    def test_training_deterministic(self, monkeypatch):
+        # the autoencoder's initialization and batch order use seed 0 whatever the seed
+        trained = spy(monkeypatch, "train")
+        data = imbalanced(seed=3)
+        for seed in (3, 4):
+            balance_with_autoencoder(data, seed=seed)
+        (_, _, (a, _)), (_, _, (b, _)) = trained
+        for la, lb in zip(a.layers, b.layers):
+            assert la.weights.tobytes() == lb.weights.tobytes() and la.biases.tobytes() == lb.biases.tobytes()
 
-    def test_decode_of_encode_is_the_forward_pass(self):
-        rng = np.random.default_rng(14)
-        data = Dataset(
-            ("a", "b", "c", "d"), rng.uniform(0, 1, (40, 4)),
-            np.array(["High"] * 25 + ["Low"] * 15, dtype=object),
-        )
-        cfg = AutoencoderConfig(
-            encoder_widths=(3, 2), decoder_widths=(3,), train=TrainConfig(seed=14, max_epochs=5)
-        )
-        ae = train_autoencoder(data, cfg)
-        decoded = augment._decode(ae, augment._encode(ae, data.rows))
-        assert np.array_equal(decoded, forward(ae.network, data.rows)[-1])
+    def test_samples_clipped_to_observed_ranges(self, monkeypatch):
+        # the decoder overshoots far above and below every feature's range, row by row in turn
+        real = augment._forward_full
 
-    def test_noise_scale_zero_collapses_to_mean_decode(self):
-        rng = np.random.default_rng(4)
-        data = Dataset(
-            ("a", "b", "c"), rng.uniform(0, 1, (40, 3)),
-            np.array(["High"] * 25 + ["Low"] * 15, dtype=object),
-        )
-        cfg = AutoencoderConfig(
-            encoder_widths=(3, 2), decoder_widths=(3,),
-            train=TrainConfig(seed=4, max_epochs=5), noise_scale=0.0,
-        )
-        ae = train_autoencoder(data, cfg)
-        samples = autoencoder_sample(ae, data, "Low", n=7, seed=5)
-        assert np.allclose(samples, samples[0])
+        def overshoot(net, x, start=0):
+            zs, acts = real(net, x, start)
+            sign = np.where(np.arange(len(x)) % 2 == 0, 1.0, -1.0)[:, None]
+            return zs, acts[:-1] + [np.full_like(acts[-1], 1e6) * sign]
 
-    def test_samples_clipped_to_observed_ranges(self):
+        monkeypatch.setattr(augment, "_forward_full", overshoot)
         rng = np.random.default_rng(5)
         data = Dataset(
             ("a", "b", "c"), rng.uniform(-2, 2, (50, 3)),
             np.array(["High"] * 30 + ["Low"] * 20, dtype=object),
         )
-        cfg = AutoencoderConfig(
-            encoder_widths=(3, 2), decoder_widths=(3,),
-            train=TrainConfig(seed=5, max_epochs=5), noise_scale=4.0,
-        )
-        ae = train_autoencoder(data, cfg)
-        samples = autoencoder_sample(ae, data, "Low", n=1000, seed=6)
+        new = balance_with_autoencoder(data, seed=5).rows[data.n_rows :]
         lo, hi = data.rows.min(axis=0), data.rows.max(axis=0)
-        assert np.all(samples >= lo) and np.all(samples <= hi)
+        assert np.all(new >= lo) and np.all(new <= hi)
+        assert np.allclose(new[0::2], hi) and np.allclose(new[1::2], lo)
 
     def test_sampling_deterministic(self):
-        rng = np.random.default_rng(6)
-        data = Dataset(
-            ("a", "b"), rng.uniform(0, 1, (30, 2)),
-            np.array(["High"] * 20 + ["Low"] * 10, dtype=object),
-        )
-        cfg = AutoencoderConfig(encoder_widths=(2,), decoder_widths=(2,), train=TrainConfig(seed=6, max_epochs=5))
-        ae = train_autoencoder(data, cfg)
-        a = autoencoder_sample(ae, data, "Low", n=13, seed=9)
-        b = autoencoder_sample(ae, data, "Low", n=13, seed=9)
-        assert np.array_equal(a, b)
+        data = imbalanced(seed=6)
+        a, b, c = (balance_with_autoencoder(data, seed=seed) for seed in (9, 9, 10))
+        assert a.rows.tobytes() == b.rows.tobytes()
+        assert np.array_equal(c.rows[: data.n_rows], a.rows[: data.n_rows])
+        assert not np.array_equal(c.rows[data.n_rows :], a.rows[data.n_rows :])
 
     def test_absent_class_rejected(self):
         rng = np.random.default_rng(7)
         data = Dataset(("a",), rng.uniform(0, 1, (10, 1)), np.array(["High"] * 10, dtype=object))
-        cfg = AutoencoderConfig(encoder_widths=(1,), decoder_widths=(1,), train=TrainConfig(seed=7, max_epochs=2))
-        ae = train_autoencoder(data, cfg)
-        with pytest.raises(AugmentError, match="absent"):
-            autoencoder_sample(ae, data, "Low", n=2)
+        with pytest.raises(AugmentError, match="exactly two classes"):
+            balance_with_autoencoder(data)
+
+    def test_already_balanced_returns_unchanged(self, caplog):
+        data = imbalanced(seed=8, n_min=12, n_maj=12)
+        with caplog.at_level(logging.WARNING, logger="hornnet.augment"):
+            assert balance_with_autoencoder(data) is data
+        assert "classes already equal" in caplog.text
 
     def test_balance_equalizes_and_tags(self):
         train, _ = generate_synthetic(SynthConfig(seed=8))
-        cfg = AutoencoderConfig(train=TrainConfig(seed=8, max_epochs=20))
-        out = balance_with_autoencoder(train, cfg, seed=8)
+        out = balance_with_autoencoder(train, seed=8)
         assert out.class_counts() == {"High": 364, "Low": 364}
         assert (out.origin == "autoencoder").sum() == 301
+        assert (out.origin[: train.n_rows] == "real").all() and (out.labels[train.n_rows :] == "Low").all()
+        assert np.array_equal(out.rows[: train.n_rows], train.rows)
         # synthetic rows stay within the observed raw ranges
         new = out.rows[train.n_rows :]
         assert np.all(new >= train.rows.min(axis=0)) and np.all(new <= train.rows.max(axis=0))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hornnet import cli, datakit, evalharness, explain, tensornet
+from hornnet import augment, cli, datakit, evalharness, explain, tensornet
 from hornnet.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "tiny_players.csv"
@@ -115,6 +115,15 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert list(manifest["inputs"]) == [str(synth_dir / "train.csv")]
         assert manifest["args"]["rules"] == str(rules_file)
+
+    def test_non_finite_cell_is_runtime_error(self, tmp_path, synth_dir, capsys):
+        path = tmp_path / "nan.csv"
+        header, first, rest = (synth_dir / "train.csv").read_text().split("\n", 2)
+        cells = first.split(",")
+        path.write_text("\n".join([header, ",".join(["nan"] + cells[1:]), rest]))
+        capsys.readouterr()
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "t")]) == 1
+        assert capsys.readouterr().err == f"hornnet: error: {path}: non-finite cell nan at row 2, column 1\n"
 
     def test_manifest_rerun_reproduces_outputs(self, tmp_path, synth_dir, rules_file):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -344,6 +353,32 @@ class TestCompare:
         assert digest_dir(a) == digest_dir(b)
         report = json.loads((a / "report.json").read_text())
         assert set(report["test_metrics"]) == {"deep_nn", "deep_nn_smote", "deep_nn_autoencoder", "nsai"}
+
+    def test_test_columns_matched_by_name(self, tmp_path, rules_file):
+        data = tmp_path / "d"
+        main(["synth", "--rows", "120", "--test-rows", "40", "--seed", "3", "--out", str(data)])
+        test = datakit.load_csv(data / "test.csv")
+        permuted = _save_columns(test, test.feature_names[::-1], tmp_path / "permuted.csv")
+        reports = []
+        for path in (data / "test.csv", permuted):
+            out = tmp_path / f"report-{path.stem}"
+            argv = ["compare", "--train", str(data / "train.csv"), "--test", str(path), "--rules", str(rules_file)]
+            assert main(argv + ["--seed", "3", "--cv-folds", "3", "--out", str(out)]) == 0
+            reports.append([(out / name).read_bytes() for name in ("report.json", "report.txt")])
+        assert reports[0] == reports[1]
+
+    def test_missing_test_column_fails_before_training(self, tmp_path, synth_dir, rules_file, monkeypatch, capsys):
+        def no_smote(*args, **kwargs):
+            raise AssertionError("augment.smote called")
+
+        monkeypatch.setattr(augment, "smote", no_smote)
+        test = datakit.load_csv(synth_dir / "test.csv")
+        path = _save_columns(test, [n for n in test.feature_names if n != "Loop"], tmp_path / "no_loop.csv")
+        capsys.readouterr()
+        argv = ["compare", "--train", str(synth_dir / "train.csv"), "--test", str(path), "--rules", str(rules_file)]
+        assert main(argv + ["--out", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == f"hornnet: error: {path}: missing feature column(s) the model needs: Loop\n"
+        assert not (tmp_path / "c" / "manifest.json").exists()
 
 
 class TestFlagResolution:

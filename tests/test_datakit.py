@@ -56,6 +56,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 3, column 2"):
             load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_position(self, tmp_path, cell):
+        # the blank line still counts as a row, and the label column as a column
+        p = tmp_path / "d.csv"
+        p.write_text(f"Final_score,a,b\nHigh,1,2\n\nLow,3,{cell}\nHigh,nan,4\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(p)
+        assert str(exc.value) == f"{p}: non-finite cell {float(cell)!r} at row 4, column 3"
+
     def test_unknown_label_token(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,Final_score\n1,Medium\n")

@@ -8,6 +8,7 @@ from hornnet import augment, tensornet
 from hornnet.datakit import (
     CLASSES,
     SPURIOUS_FEATURE,
+    DataError,
     Dataset,
     SynthConfig,
     feature_bounds,
@@ -181,6 +182,23 @@ class TestComparison:
         bad_rules = parse_rules("Final_score :- Wand.\n")
         with pytest.raises(Exception, match="Wand"):
             run_comparison(train, test, bad_rules, master_seed=5, cv_folds=3)
+
+    def test_test_columns_matched_by_name(self, small_setup, small_report):
+        rules, train, test = small_setup
+        permuted = replace(test, feature_names=test.feature_names[::-1], rows=test.rows[:, ::-1])
+        report = run_comparison(train, permuted, rules, master_seed=5, cv_folds=3)
+        assert report_to_json(report) == report_to_json(small_report)
+
+    def test_missing_test_column_fails_before_augmentation(self, small_setup, monkeypatch):
+        def no_smote(*args, **kwargs):
+            raise AssertionError("augment.smote called")
+
+        monkeypatch.setattr(augment, "smote", no_smote)
+        rules, train, test = small_setup
+        keep = [i for i, name in enumerate(test.feature_names) if name != "Loop"]
+        no_loop = replace(test, feature_names=[test.feature_names[i] for i in keep], rows=test.rows[:, keep])
+        with pytest.raises(DataError, match=r"^test_data: missing feature column\(s\) the model needs: Loop$"):
+            run_comparison(train, no_loop, rules, master_seed=5, cv_folds=3)
 
     def test_byte_identical_reports(self, small_setup):
         rules, train, test = small_setup

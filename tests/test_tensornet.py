@@ -101,6 +101,17 @@ class TestForward:
         with pytest.raises(ValueError, match="input"):
             forward(net, np.zeros(5))
 
+    def test_decode_of_encode_is_the_forward_pass(self):
+        # layer k's input fed to the layers from k on gives the rest of the pass,
+        # as the autoencoder balancer decodes the latent codes it encoded
+        specs = [(3, "relu"), (2, "relu"), (3, "relu"), (4, "linear")]
+        net = build_network(4, specs, seed=14)
+        x = np.random.default_rng(14).uniform(0, 1, (40, 4))
+        acts = forward(net, x)
+        for k in range(1, len(specs)):
+            _, rest = tensornet._forward_full(net, acts[k - 1], start=k)
+            assert [a.tobytes() for a in rest] == [a.tobytes() for a in acts[k:]]
+
 
 class TestInputBounds:
     BOUNDS = [(0.0, 10.0), (-2.0, 2.0), (5.0, 5.0)]
@@ -336,7 +347,7 @@ def _reference_train(net, data, config):
     """The per-layer training loop that the flat parameter vector replaced:
     two forward passes per batch, Adam layer by layer, and a per-layer
     best-epoch snapshot and restore."""
-    x, targets, labels = tensornet._resolve_training_arrays(net, data, config)
+    x, targets, labels = tensornet._resolve_training_arrays(net, data)
     x = scale(x, net.input_bounds)
     model = net.copy()
     train_idx, val_idx = validation_split(x.shape[0], config.validation_fraction, config.seed, labels)
