@@ -72,8 +72,10 @@ def smote(data: Dataset, config: SmoteConfig | None = None) -> Dataset:
 
     Each synthetic point is x_i + lambda * (x_nn - x_i) with lambda uniform in
     [0, 1] and x_nn one of x_i's k nearest minority neighbors (Euclidean on
-    min-max-scaled features). Original rows come first, unchanged; synthetic
-    rows carry the minority label and origin tag "smote".
+    min-max-scaled features). The seed draws all base rows i, then all
+    neighbor slots, then all lambdas, one array each. Original rows come
+    first, unchanged; synthetic rows carry the minority label and origin tag
+    "smote".
     """
     config = config or SmoteConfig()
     minority, n_min, majority, n_maj = _minority_majority(data)
@@ -92,12 +94,10 @@ def smote(data: Dataset, config: SmoteConfig | None = None) -> Dataset:
     neighbor_ids = _nearest_neighbors(scale(minority_rows, feature_bounds(data)), config.k_neighbors)
 
     rng = np.random.default_rng(config.seed)
-    synthetic = np.empty((n_new, data.n_features))
-    for s in range(n_new):
-        i = int(rng.integers(n_min))
-        nn = int(neighbor_ids[i, int(rng.integers(config.k_neighbors))])
-        lam = rng.uniform()
-        synthetic[s] = minority_rows[i] + lam * (minority_rows[nn] - minority_rows[i])
+    i = rng.integers(n_min, size=n_new)
+    nn = neighbor_ids[i, rng.integers(config.k_neighbors, size=n_new)]
+    lam = rng.uniform(size=(n_new, 1))
+    synthetic = minority_rows[i] + lam * (minority_rows[nn] - minority_rows[i])
     return _append_rows(data, synthetic, minority, "smote")
 
 

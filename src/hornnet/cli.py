@@ -202,6 +202,16 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
+def _read_rules(path):
+    """The rule set in the file at `path`; text that is not UTF-8 is an error
+    that names the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return parse_rules(text)
+
+
 def _cmd_synth(args, out: Path) -> list[Path]:
     config = datakit.SynthConfig(
         n_rows=args.rows,
@@ -235,7 +245,7 @@ def _cmd_train(args, out: Path) -> list[Path]:
     )
     if model_kind == "nsai":
         inputs.append(Path(args.rules))
-        rules = rewrite_disjuncts(parse_rules(Path(args.rules).read_text(encoding="utf-8-sig")))
+        rules = rewrite_disjuncts(_read_rules(args.rules))
         net = kbann.compile_rules(
             rules,
             data.feature_names,
@@ -333,7 +343,7 @@ def _cmd_compare(args, out: Path) -> list[Path]:
     train_data = datakit.load_csv(args.train_path)
     # run_comparison matches the columns too; here a missing one names the file
     test_data = datakit._match_columns(datakit.load_csv(args.test_path), train_data.feature_names, args.test_path)
-    rules = parse_rules(Path(args.rules).read_text(encoding="utf-8-sig"))
+    rules = _read_rules(args.rules)
     report = evalharness.run_comparison(
         train_data, test_data, rules, master_seed=args.seed, cv_folds=args.cv_folds
     )

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datakit import Dataset, _stratified_mask, one_hot, scale
+from .datakit import Dataset, _rescale, _scaling, _stratified_mask, one_hot, scale
 
 __all__ = [
     "Layer",
@@ -77,22 +77,28 @@ def _row_max(z):
     return m
 
 
-def _softmax(z, out=None):
-    out = np.subtract(z, _row_max(z), out=out)
+def _softmax(z, out=None, terms=None):
+    """Softmax of each row of `z`; `terms`, if given, is a list that receives
+    the row max m and the row sums s of exp(z - m), which `_logsumexp` reuses."""
+    m = _row_max(z)
+    out = np.subtract(z, m, out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    s = out.sum(axis=-1, keepdims=True)
+    out /= s
+    if terms is not None:
+        terms[:] = m, s
     return out
 
 
-def _activate(z, kind, out=None):
+def _activate(z, kind, out=None, terms=None):
     """Activation of pre-activations `z`, written into `out` when given;
-    linear returns `z` itself."""
+    linear returns `z` itself. `terms` is passed to `_softmax`."""
     if kind == "relu":
         return np.maximum(z, 0.0, out=out)
     if kind == "sigmoid":
         return _sigmoid(z, out)
     if kind == "softmax":
-        return _softmax(z, out)
+        return _softmax(z, out, terms)
     if kind == "linear":
         return z
     raise ValueError(f"unknown activation {kind!r}")
@@ -240,7 +246,7 @@ def build_mlp(input_dim, hidden, output_dim, seed, input_names=None, class_names
 # --------------------------------------------------------------------------
 
 
-def _forward_full(net: Network, x: np.ndarray, start: int = 0, out=None):
+def _forward_full(net: Network, x: np.ndarray, start: int = 0, out=None, terms=None):
     """Pre-activations and activations of layers `start` onward; `x` is the
     input to layer `start`.
 
@@ -250,13 +256,15 @@ def _forward_full(net: Network, x: np.ndarray, start: int = 0, out=None):
     own 2-D call bit for bit.
     `out`, if given, holds one (z, a) buffer pair per layer from `start` on,
     each shaped like that layer's result; the results are written there.
+    `terms`, if given, receives a softmax final layer's `_softmax` terms.
     """
     zs, acts = [], []
     a = x
-    for layer, (z_buf, a_buf) in zip(net.layers[start:], out or repeat((None, None))):
+    layers = net.layers[start:]
+    for layer, (z_buf, a_buf) in zip(layers, out or repeat((None, None))):
         z = np.matmul(a, layer.weights.swapaxes(-1, -2), out=z_buf)
         z += layer.biases[..., None, :]
-        a = _activate(z, layer.activation, a_buf)
+        a = _activate(z, layer.activation, a_buf, terms if layer is layers[-1] else None)
         zs.append(z)
         acts.append(a)
     return zs, acts
@@ -285,7 +293,9 @@ def predict_proba(net: Network, x) -> np.ndarray:
 
 def predictor(net: Network):
     """A callable equal to ``partial(predict_proba, net)`` that reuses a
-    scaled-input buffer and one (z, a) buffer pair per layer across calls.
+    scaled-input buffer, the input bounds' lo and divisor tiled to full batch
+    shape, and one (z, a) buffer pair per layer across calls. The bounds are
+    `net`'s when the callable is made.
 
     The buffers grow to the largest batch seen; smaller batches use row-prefix
     slices of them. Fresh activations of a 1000-row batch are big enough that
@@ -293,15 +303,16 @@ def predictor(net: Network):
     in again dominates a caller that makes many passes, such as LIME. Each call
     returns a copy, so a held result is never overwritten by the next call.
     """
+    lo, divisor, constant = _scaling(net.input_bounds)
     inputs, buffers = [], []
 
     def predict(x) -> np.ndarray:
         batch, single = _as_batch(net, x)
         rows = batch.shape[0]
         if not inputs or inputs[0].shape[0] < rows:
-            inputs[:] = [np.empty((rows, net.input_dim))]
+            inputs[:] = [np.empty((rows, net.input_dim)), np.tile(lo, (rows, 1)), np.tile(divisor, (rows, 1))]
             buffers[:] = [(np.empty((rows, layer.out_units)), np.empty((rows, layer.out_units))) for layer in net.layers]
-        scaled = scale(batch, net.input_bounds, out=inputs[0][:rows])
+        scaled = _rescale(batch, inputs[1][:rows], inputs[2][:rows], constant, out=inputs[0][:rows])
         _, acts = _forward_full(net, scaled, out=[(z[:rows], a[:rows]) for z, a in buffers])
         return (acts[-1][0] if single else acts[-1]).copy()
 
@@ -313,13 +324,14 @@ def predict_labels(net: Network, x) -> np.ndarray:
     return np.asarray(net.output_names, dtype=object)[probs.argmax(axis=1)]
 
 
-def _loss(net: Network, zs, acts, targets, config, reg_scale, magnitudes=None):
+def _loss(net: Network, zs, acts, targets, config, reg_scale, magnitudes=None, terms=None):
     """Mean data loss of one forward pass plus the penalty scaled by `reg_scale`:
     a float for one network; for a stack, one value per member, with
-    `reg_scale` one value per member. `magnitudes` is passed to `_penalty`."""
+    `reg_scale` one value per member. `magnitudes` is passed to `_penalty`, and
+    `terms`, the softmax terms the forward pass kept, to `_logsumexp`."""
     rows = zs[-1].shape[-2]
     if config.loss == "cross_entropy":
-        logp = zs[-1] - _logsumexp(zs[-1])
+        logp = zs[-1] - _logsumexp(zs[-1], terms)
         data = -(targets * logp).sum(axis=(-2, -1)) / rows
     else:
         diff = acts[-1] - targets
@@ -328,9 +340,14 @@ def _loss(net: Network, zs, acts, targets, config, reg_scale, magnitudes=None):
     return float(loss) if np.ndim(loss) == 0 else loss
 
 
-def _logsumexp(z):
-    m = _row_max(z)
-    return m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+def _logsumexp(z, terms=None):
+    """log(sum(exp(z))) of each row as m + log(s), with `terms` (m, s) as
+    `_softmax` computes them for `z`; computed here if `terms` is empty or None."""
+    if not terms:
+        m = _row_max(z)
+        terms = m, np.exp(z - m).sum(axis=-1, keepdims=True)
+    m, s = terms
+    return m + np.log(s)
 
 
 def _penalty(net: Network, l1, l2, magnitudes=None):
@@ -753,10 +770,11 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
         group = stack[lo:hi]
         idx = np.array([m.order[m.pos : m.pos + n] for m in group])
         xb, tb = np.take(x, idx, axis=0), np.take(targets, idx, axis=0)
-        zs_acts = _forward_full(net, xb, out=forward_out)
+        terms = []
+        zs_acts = _forward_full(net, xb, out=forward_out, terms=terms)
         np.abs(p, out=sp)
         np.multiply(p, p, out=g)
-        loss = _loss(net, *zs_acts, tb, config, reg[:, 0], magnitudes)
+        loss = _loss(net, *zs_acts, tb, config, reg[:, 0], magnitudes, terms)
         if not np.isfinite(loss).all():
             m = group[int(np.argmin(np.isfinite(loss)))]
             raise TrainingError(f"non-finite loss at epoch {len(m.loss_history) + 1}, batch {m.pos // config.batch_size}")

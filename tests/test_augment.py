@@ -7,7 +7,7 @@ import pytest
 
 from hornnet import augment
 from hornnet.augment import AUTOENCODER_WIDTHS, AugmentError, SmoteConfig, balance_with_autoencoder, smote
-from hornnet.datakit import Dataset, SynthConfig, generate_synthetic
+from hornnet.datakit import Dataset, SynthConfig, feature_bounds, generate_synthetic, scale
 
 
 def imbalanced(seed=0, n_min=8, n_maj=24, d=3):
@@ -95,6 +95,22 @@ class TestSmote:
         data = imbalanced(n_min=3)
         with pytest.raises(AugmentError, match="k_neighbors"):
             smote(data, SmoteConfig(k_neighbors=3))
+
+    @pytest.mark.parametrize("shape", ["small", "game"])
+    def test_equals_array_draw_reference(self, shape):
+        if shape == "small":
+            data, k, seed = imbalanced(seed=8, n_min=9, n_maj=30), 3, 12
+        else:
+            (data, _), k, seed = generate_synthetic(SynthConfig(seed=2)), 5, 2
+        out = smote(data, SmoteConfig(k_neighbors=k, seed=seed))
+        counts = data.class_counts()
+        minority, n_new = min(counts, key=counts.get), max(counts.values()) - min(counts.values())
+        x = data.rows[data.labels == minority]
+        ids = augment._nearest_neighbors(scale(x, feature_bounds(data)), k)
+        rng = np.random.default_rng(seed)
+        base, slot, lam = rng.integers(len(x), size=n_new), rng.integers(k, size=n_new), rng.uniform(size=n_new)
+        expected = x[base] + lam[:, None] * (x[ids[base, slot]] - x[base])
+        assert out.rows[data.n_rows :].tobytes() == expected.tobytes()
 
     def test_interpolation_endpoints_allowed(self):
         # clustered minority pairs: every synthetic point must coincide with

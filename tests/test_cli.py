@@ -339,6 +339,62 @@ class TestByteOrderMark:
         assert len((out / "train.csv").read_text().splitlines()) == 34
 
 
+class TestInputErrors:
+    """A bad CSV or rule file is one error line that names it, with exit code 1
+    and no manifest."""
+
+    def run(self, tmp_path, capsys, argv) -> str:
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        return capsys.readouterr().err
+
+    @pytest.fixture
+    def not_utf8(self, tmp_path, synth_dir):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((synth_dir / "test.csv").read_bytes().replace(b"High", b"H\xffgh", 1))
+        return path
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "compare"])
+    def test_csv_not_utf8(self, tmp_path, synth_dir, rules_file, capsys, not_utf8, command):
+        if command == "train":
+            argv = ["train", "--data", str(not_utf8)]
+        elif command == "evaluate":
+            model = tmp_path / "m"
+            assert main(["train", "--data", str(synth_dir / "train.csv"), "--max-epochs", "2", "--out", str(model)]) == 0
+            argv = ["evaluate", "--model", str(model / "model.npz"), "--data", str(not_utf8)]
+        else:
+            argv = ["compare", "--train", str(synth_dir / "train.csv"), "--test", str(not_utf8), "--rules", str(rules_file)]
+        err = self.run(tmp_path, capsys, argv)
+        assert err.startswith(f"hornnet: error: {not_utf8}: 'utf-8' codec can't decode byte 0xff in position ")
+        assert err.endswith(": invalid start byte\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_rule_file_not_utf8(self, tmp_path, synth_dir, capsys, command):
+        rules = tmp_path / "latin1.rules"
+        rules.write_bytes(RULES.encode().replace(b"Loop", b"L\xffop"))
+        data = synth_dir / "train.csv"
+        if command == "train":
+            argv = ["train", "--data", str(data), "--rules", str(rules)]
+        else:
+            argv = ["compare", "--train", str(data), "--test", str(synth_dir / "test.csv"), "--rules", str(rules)]
+        position = RULES.index("Loop") + 1
+        err = self.run(tmp_path, capsys, argv)
+        assert err == f"hornnet: error: {rules}: 'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte\n"
+
+    def test_empty_column_name(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("a,,Final_score\n" + "".join(f"{i},{i % 3},{'High' if i % 2 else 'Low'}\n" for i in range(20)))
+        err = self.run(tmp_path, capsys, ["train", "--data", str(path)])
+        assert err == f"hornnet: error: {path}: empty column name at column 2\n"
+
+    def test_label_column_alone(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("Final_score\n" + "High\nLow\n" * 10)
+        err = self.run(tmp_path, capsys, ["train", "--data", str(path)])
+        assert err == f"hornnet: error: {path}: no feature columns besides 'Final_score'\n"
+
+
 class TestCompare:
     def test_compare_runs_and_reproduces(self, tmp_path, rules_file):
         data = tmp_path / "d"

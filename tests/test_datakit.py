@@ -1,8 +1,10 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hornnet import datakit
 from hornnet.datakit import (
     CAUSAL_FEATURES,
     FEATURE_STATS,
@@ -86,6 +88,151 @@ class TestLoadCsv:
         assert np.array_equal(again.rows, data.rows)
         assert list(again.labels) == list(data.labels)
         assert list(again.origin) == ["real"] * 12
+
+
+def assert_same_dataset(got: Dataset, want: Dataset):
+    assert got.feature_names == want.feature_names
+    assert got.rows.dtype == want.rows.dtype == np.float64
+    assert got.rows.flags.c_contiguous and got.rows.shape == want.rows.shape
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert list(got.labels) == list(want.labels)
+    assert (got.origin is None) == (want.origin is None)
+    if got.origin is not None:
+        assert list(got.origin) == list(want.origin)
+
+
+@pytest.fixture
+def reference_calls(monkeypatch):
+    """Paths `load_csv` hands to the row-by-row reference reader."""
+    calls = []
+    real = datakit._load_csv_rows
+
+    def spy(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(datakit, "_load_csv_rows", spy)
+    return calls
+
+
+def _synth_csv(tmp_path, n_rows=427, seed=3, origin=False) -> Path:
+    train, _ = generate_synthetic(SynthConfig(n_rows=n_rows, seed=seed))
+    path = tmp_path / "synth.csv"
+    save_csv(train if origin else Dataset(train.feature_names, train.rows, train.labels), path)
+    return path
+
+
+def _reshaped(path: Path, to: Path, *, bom=False, newline="\n", quote=False, pad="") -> Path:
+    """The CSV at `path` with a byte-order mark, another line end, every body
+    cell quoted, or `pad` on both sides of every body cell."""
+    header, *body = path.read_text().splitlines()
+    lines = [header]
+    for line in body:
+        cells = [f'"{c}"' if quote else c for c in line.split(",")]
+        lines.append(",".join(f"{pad}{c}{pad}" for c in cells))
+    to.write_text(("\ufeff" if bom else "") + newline.join(lines) + newline, newline="")
+    return to
+
+
+class TestCReader:
+    """`load_csv` parses with numpy's C reader, and gives what the row-by-row
+    reference `_load_csv_rows` gives."""
+
+    @pytest.mark.parametrize(
+        "variant",
+        ["fixture", "synth", "synth_test_split", "origin", "bom", "crlf", "cr", "quoted", "spaces"],
+    )
+    def test_equals_reference_without_falling_back(self, tmp_path, reference_calls, variant):
+        if variant == "fixture":
+            path = FIXTURE
+        elif variant == "synth_test_split":
+            _, test = generate_synthetic(SynthConfig(seed=4))
+            save_csv(test, path := tmp_path / "test.csv")
+        else:
+            path = _synth_csv(tmp_path, origin=variant == "origin")
+            options = {"bom": {"bom": True}, "crlf": {"newline": "\r\n"}, "cr": {"newline": "\r"},
+                       "quoted": {"quote": True}, "spaces": {"pad": "  "}}
+            if variant in options:
+                path = _reshaped(path, tmp_path / f"{variant}.csv", **options[variant])
+        got = load_csv(path)
+        assert reference_calls == []
+        assert_same_dataset(got, datakit._load_csv_rows(path))
+        if variant in ("synth", "bom", "crlf", "cr", "quoted", "spaces"):
+            assert_same_dataset(got, load_csv(_synth_csv(tmp_path)))
+
+    def test_extra_trailing_cell_names_its_row(self, tmp_path):
+        path = _synth_csv(tmp_path, n_rows=40, origin=True)
+        lines = path.read_text().splitlines()
+        lines[5] += ","
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: row 6 has 12 cells, expected 11"
+
+    def test_long_text_cells_are_read_whole(self, tmp_path, reference_calls):
+        path = tmp_path / "d.csv"
+        path.write_text("a,Final_score,origin\n1,High,autoencoder\n2,Low,real\n")
+        assert list(load_csv(path).origin) == ["autoencoder", "real"]
+        assert reference_calls == []
+        path.write_text("a,Final_score\n1,High\n2,True    x\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: unknown label token 'True    x' at row 3, column 2"
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        body = "a,b,Final_score\n1,2,High\n\n  \n\t, ,\n3,4,Low\n"
+        path.write_text(body)
+        data = load_csv(path)
+        assert_same_dataset(data, datakit._load_csv_rows(path))
+        assert data.rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        path.write_text(body + "5,x,High\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: non-numeric cell 'x' at row 7, column 2"
+
+    @pytest.mark.parametrize("body", ["", "\n\n"], ids=["header_only", "blank_lines"])
+    def test_no_data_rows_under_warnings_as_errors(self, tmp_path, body):
+        path = tmp_path / "d.csv"
+        path.write_text("a,Final_score\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as exc:
+                load_csv(path)
+        assert str(exc.value) == f"{path}: no data rows"
+
+    def test_spellings_only_float_reads(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,Final_score\n1_000,\u0661\u0662,High\n2,3,Low\n")
+        assert load_csv(path).rows.tolist() == [[1000.0, 12.0], [2.0, 3.0]]
+
+    def test_empty_column_name_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a, ,Final_score\n1,2,High\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: empty column name at column 2"
+
+    def test_label_column_alone_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("Final_score\nHigh\nLow\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: no feature columns besides 'Final_score'"
+
+    def test_csv_module_error_names_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,Final_score\n1,High\n" + "9" * 140_000 + ",Low\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: field larger than field limit (131072)"
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,Final_score\n1,High\n2,L\xffow\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: 'utf-8' codec can't decode byte 0xff in position 24: invalid start byte"
 
 
 class TestNormalization:

@@ -113,6 +113,33 @@ class TestForward:
             assert [a.tobytes() for a in rest] == [a.tobytes() for a in acts[k:]]
 
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_loss_from_the_softmax_terms_is_bit_equal(self, stacked):
+        net = build_mlp(4, [6], 3, seed=5)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 50, 4) if stacked else (50, 4))
+        targets = np.eye(3)[rng.integers(3, size=x.shape[:-1])]
+        if stacked:  # two members with the same weights
+            net = tensornet._Views([tensornet._LayerView(np.stack([l.weights] * 2), np.stack([l.biases] * 2), l.activation) for l in net.layers])
+        config, reg = TrainConfig(l1=1e-3, l2=1e-3), np.full(2, 0.1) if stacked else 0.1
+        terms = []
+        zs, acts = tensornet._forward_full(net, x, terms=terms)
+        z = zs[-1]
+        m = z.max(axis=-1, keepdims=True)
+        s = np.exp(z - m).sum(axis=-1, keepdims=True)
+        assert [t.tobytes() for t in terms] == [m.tobytes(), s.tobytes()]
+        data = -(targets * (z - (m + np.log(s)))).sum(axis=(-2, -1)) / z.shape[-2]
+        want = np.asarray(data + tensornet._penalty(net, config.l1, config.l2) * reg).tobytes()
+        assert np.asarray(tensornet._loss(net, zs, acts, targets, config, reg, terms=terms)).tobytes() == want
+        assert np.asarray(tensornet._loss(net, zs, acts, targets, config, reg)).tobytes() == want
+
+    def test_softmax_terms_come_from_the_final_layer_only(self):
+        net = build_network(4, [(3, "softmax"), (2, "linear")], seed=6)
+        terms = []
+        tensornet._forward_full(net, np.ones((5, 4)), terms=terms)
+        assert terms == []
+
+
 class TestInputBounds:
     BOUNDS = [(0.0, 10.0), (-2.0, 2.0), (5.0, 5.0)]
 
@@ -446,7 +473,7 @@ class TestFlatParameterTraining:
         calls = []
         real = tensornet._forward_full
 
-        def counting(net, x, start=0, out=None):
+        def counting(net, x, start=0, out=None, terms=None):
             calls.append(len(x))
             return real(net, x, start)
 
