@@ -1,13 +1,13 @@
 """Walkthrough: from a Horn-clause knowledge file to an initialized network.
 
-Parses the bundled computational-thinking rules, eliminates disjuncts,
-compiles the result into a layered sigmoid network, and checks that the
-initialization realizes the boolean semantics exactly.
+Parses the bundled computational-thinking rules, compiles them into a layered
+sigmoid network, and checks that the initialization realizes the boolean
+semantics exactly.
 """
 
 import numpy as np
 
-from hornnet import parse_rules, rewrite_disjuncts
+from hornnet import parse_rules
 from hornnet.datakit import FEATURE_STATS
 from hornnet.kbann import CompileConfig, compile_rules, verify_compiled_logic
 from hornnet.tensornet import forward
@@ -24,7 +24,6 @@ print(f"parsed {len(rules.clauses)} clauses")
 print(f"  root head:  {sorted(rules.roots)}")
 print(f"  inputs:     {sorted(rules.inputs)}")
 
-rules = rewrite_disjuncts(rules)  # no-op here: every head has one clause
 features = list(FEATURE_STATS)
 net = compile_rules(rules, features, ("Low", "High"), CompileConfig(perturb_scale=0.0))
 

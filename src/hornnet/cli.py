@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__, augment, datakit, evalharness, explain, kbann, tensornet
 from .datakit import CLASSES
-from .rulelang import parse_rules, rewrite_disjuncts
+from .rulelang import RuleError, parse_rules
 
 ENV_PREFIX = "HORNNET_"
 
@@ -66,8 +66,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _resolve(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> None:
-    """Apply config-file and environment overrides to defaulted flags.
+def _resolve(args: argparse.Namespace, subparser: argparse.ArgumentParser, argv) -> None:
+    """Apply config-file and environment overrides to the flags that `argv`,
+    the command's own arguments, does not give.
 
     Each value passes the flag's type and choices exactly as on the command
     line; a non-string config value is read as its JSON text.
@@ -82,10 +83,14 @@ def _resolve(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> No
                 raise _UsageError(f"{path}: config file is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise _UsageError(f"{path}: config file must hold a JSON object")
+    # argparse fills in defaults only for what the namespace lacks, so a
+    # flag still holding `unset` after this parse was not given
+    unset = object()
+    given = subparser.parse_args(argv, argparse.Namespace(**{key: unset for key in vars(args)}))
     for action in subparser._actions:
         key, env = action.dest, ENV_PREFIX + action.dest.upper()
-        if key not in vars(args) or getattr(args, key) != action.default:
-            continue  # not a flag of this command, or explicitly set on the command line
+        if getattr(given, key, None) is not unset:
+            continue  # not a flag of this command, or given on the command line
         if env in os.environ:
             source, value = env, os.environ[env]
         elif key in config:
@@ -203,13 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_rules(path):
-    """The rule set in the file at `path`; text that is not UTF-8 is an error
-    that names the file."""
+    """The rule set in the file at `path`; text that is not UTF-8 or not a
+    valid rule set is an error that names the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
+        return parse_rules(Path(path).read_text(encoding="utf-8-sig"))
+    except (UnicodeDecodeError, RuleError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return parse_rules(text)
 
 
 def _cmd_synth(args, out: Path) -> list[Path]:
@@ -245,9 +249,8 @@ def _cmd_train(args, out: Path) -> list[Path]:
     )
     if model_kind == "nsai":
         inputs.append(Path(args.rules))
-        rules = rewrite_disjuncts(_read_rules(args.rules))
         net = kbann.compile_rules(
-            rules,
+            _read_rules(args.rules),
             data.feature_names,
             CLASSES,
             kbann.CompileConfig(omega=args.omega, seed=args.seed),
@@ -366,8 +369,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        argv = sys.argv[1:] if argv is None else list(argv)
         args = parser.parse_args(argv)
-        _resolve(args, _SUBPARSERS[args.command])
+        _resolve(args, _SUBPARSERS[args.command], argv[argv.index(args.command) + 1 :])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         inputs = _COMMANDS[args.command](args, out)

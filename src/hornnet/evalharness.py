@@ -12,7 +12,7 @@ import numpy as np
 
 from . import augment, datakit, kbann, tensornet
 from .datakit import CLASSES, Dataset
-from .rulelang import RuleSet, rewrite_disjuncts
+from .rulelang import RuleSet
 
 __all__ = [
     "Metrics",
@@ -184,7 +184,6 @@ def run_comparison(
     errors surface before any augmentation or training.
     """
     test_data = datakit._match_columns(test_data, train_data.feature_names, "test_data")
-    rules = rewrite_disjuncts(rules)
     bounds = datakit.feature_bounds(train_data)
 
     def compiled_net(seed: int) -> tensornet.Network:

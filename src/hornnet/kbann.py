@@ -1,5 +1,5 @@
-"""Compile disjunct-free Horn rules into an initialized network, and extract
-threshold rules from a trained one.
+"""Compile Horn rules into an initialized network, and extract threshold
+rules from a trained one.
 
 Compilation maps each head to a sigmoid unit one level above its deepest
 antecedent. A conjunctive unit gets links of magnitude omega from its
@@ -15,19 +15,21 @@ makes deeper units drift out of their boolean operating points.
 
 Remaining steps: features untouched by rules link into level 1 at noise
 scale, a few extra unlabeled "head" units join every hidden level, contiguous
-levels are fully connected, everything is perturbed by uniform noise, and the
-single root drives a two-unit softmax head (negative class, positive class).
+levels are fully connected, and everything is perturbed by uniform noise. The
+output softmax is one more level of two calibrated copies of the single root:
+a negated one for the negative class and a plain one for the positive class.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .datakit import Dataset, scale
-from .rulelang import RuleSet, evaluate_boolean
+from .rulelang import RuleSet, evaluate_boolean, rewrite_disjuncts
 from .tensornet import Layer, Network, _forward_full, _sigmoid, forward, predict_labels
 
 __all__ = [
@@ -96,14 +98,12 @@ class _Band:
 _RAW_BAND = _Band(1.0, 1.0, 0.0, 0.0)
 
 
-class _Unit:
-    def __init__(self, label, level, kind, parts=None):
-        self.label = label
-        self.level = level
-        self.kind = kind  # "and" | "or" | "thru" | "extra"
-        self.parts = parts or []  # (source _Unit or feature name, negated)
-        self.index = None
-        self.band = None
+class _Unit(NamedTuple):
+    label: str
+    kind: str  # "input" | "and" | "or" | "extra"; a pass-through copy is a one-literal "and"
+    parts: list  # (source _Unit, negated)
+    index: int  # position in its level
+    band: _Band | None  # None for "extra"
 
 
 def _conjunction_band(omega, parts_bands) -> _Band:
@@ -159,11 +159,14 @@ def _disjunction_band(omega, parts_bands) -> _Band:
 def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig | None = None) -> Network:
     """Build an initialized network whose labeled units realize the rules.
 
-    Requires a disjunct-free rule set (run `rewrite_disjuncts` first), one
-    root head, and every rule input present in `feature_names`. `classes` is
-    (negative, positive); the root unit drives the positive output.
+    Takes any parsed rule set with one root head and every rule input present
+    in `feature_names`; multi-clause heads go through `rewrite_disjuncts`
+    first. `classes` is (negative, positive); the root unit drives the
+    positive output.
     """
     config = config or CompileConfig()
+    omega = config.omega
+    rules = rewrite_disjuncts(rules)
     feature_names = list(feature_names)
     classes = list(classes)
     if len(classes) != 2:
@@ -173,100 +176,74 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
     unknown = rules.inputs - set(feature_names)
     if unknown:
         raise CompileError(f"rule inputs missing from feature_names: {sorted(unknown)}")
-    for head, clauses in rules.clauses_by_head.items():
-        if head in rules.disjunctive_heads:
-            if any(len(c.body) != 1 or c.body[0].negated for c in clauses):
-                raise CompileError(f"disjunctive head {head!r} has non-trivial clauses")
-        elif len(clauses) > 1:
-            raise CompileError(
-                f"head {head!r} has {len(clauses)} clauses; run rewrite_disjuncts first"
-            )
+    for head in rules.disjunctive_heads:
+        if any(len(c.body) != 1 or c.body[0].negated for c in rules.clauses_by_head[head]):
+            raise CompileError(f"disjunctive head {head!r} has non-trivial clauses")
     root = next(iter(rules.roots))
 
     # Level of each symbol: features at 0, heads one above their deepest antecedent.
     level = {name: 0 for name in feature_names}
     for head in rules.topological_heads:
-        antecedents = {
-            lit.symbol for c in rules.clauses_by_head[head] for lit in c.body
-        }
-        level[head] = 1 + max(level[s] for s in antecedents)
+        level[head] = 1 + max(level[lit.symbol] for c in rules.clauses_by_head[head] for lit in c.body)
     n_levels = level[root]
 
-    units_by_level: list[list[_Unit]] = [[] for _ in range(n_levels + 1)]
-    placed: dict[tuple[str, int], _Unit] = {}
+    # Level 0 holds the features, levels 1..n_levels the rule units and the
+    # extra hidden units, level n_levels + 1 the output pair.
+    units_by_level: list[list[_Unit]] = [[] for _ in range(n_levels + 2)]
+    units_by_level[0] = [_Unit(name, "input", [], i, _RAW_BAND) for i, name in enumerate(feature_names)]
+    placed: dict[tuple[str, int], _Unit] = {(unit.label, 0): unit for unit in units_by_level[0]}
 
-    def represent(symbol: str, at_level: int):
-        """Unit (or raw feature) standing for `symbol` at `at_level`."""
-        if level[symbol] == at_level == 0:
-            return symbol
-        key = (symbol, at_level)
-        if key in placed:
-            return placed[key]
-        if level[symbol] == at_level:
-            raise CompileError(f"unit for {symbol!r} not built yet")  # topo order violated
-        below = represent(symbol, at_level - 1)
-        unit = _Unit(f"{symbol}{PASSTHROUGH_SEP}{at_level}", at_level, "thru", [(below, False)])
-        placed[key] = unit
-        units_by_level[at_level].append(unit)
+    def place(label, lvl, kind, parts) -> _Unit:
+        """Append a unit to level `lvl` with its index there and its bands."""
+        band = None
+        if kind != "extra":
+            propagate = _disjunction_band if kind == "or" else _conjunction_band
+            band = propagate(omega, [(src.band, negated) for src, negated in parts])
+            if band.gap <= 0:
+                raise CompileError(
+                    f"unit {label!r} has no separation between true and false "
+                    f"activations at omega={omega}; increase omega"
+                )
+        unit = _Unit(label, kind, parts, len(units_by_level[lvl]), band)
+        units_by_level[lvl].append(unit)
         return unit
+
+    def represent(symbol: str, at_level: int) -> _Unit:
+        """Unit standing for `symbol` at `at_level`: its own or a pass-through copy."""
+        key = (symbol, at_level)
+        if key not in placed:
+            if level[symbol] == at_level:
+                raise CompileError(f"unit for {symbol!r} not built yet")  # topo order violated
+            below = represent(symbol, at_level - 1)
+            placed[key] = place(f"{symbol}{PASSTHROUGH_SEP}{at_level}", at_level, "and", [(below, False)])
+        return placed[key]
 
     for head in rules.topological_heads:
         lvl = level[head]
+        kind = "or" if head in rules.disjunctive_heads else "and"
         clauses = rules.clauses_by_head[head]
-        if head in rules.disjunctive_heads:
-            parts = [(represent(c.body[0].symbol, lvl - 1), False) for c in clauses]
-            unit = _Unit(head, lvl, "or", parts)
-        else:
-            (clause,) = clauses
-            parts = [(represent(lit.symbol, lvl - 1), lit.negated) for lit in clause.body]
-            unit = _Unit(head, lvl, "and", parts)
-        placed[(head, lvl)] = unit
-        units_by_level[lvl].append(unit)
+        parts = [(represent(lit.symbol, lvl - 1), lit.negated) for c in clauses for lit in c.body]
+        placed[(head, lvl)] = place(head, lvl, kind, parts)
 
     head_counter = 0
     for lvl in range(1, n_levels + 1):
         for _ in range(config.extra_hidden_per_level):
             head_counter += 1
-            units_by_level[lvl].append(_Unit(f"head{head_counter}", lvl, "extra"))
+            place(f"head{head_counter}", lvl, "extra", [])
 
-    for lvl in range(1, n_levels + 1):
-        for idx, unit in enumerate(units_by_level[lvl]):
-            unit.index = idx
-
-    def band_of(part) -> _Band:
-        return _RAW_BAND if isinstance(part, str) else part.band
-
-    for lvl in range(1, n_levels + 1):
-        for unit in units_by_level[lvl]:
-            if unit.kind == "extra":
-                continue
-            parts_bands = [(band_of(src), neg) for src, neg in unit.parts]
-            if unit.kind == "or":
-                unit.band = _disjunction_band(config.omega, parts_bands)
-            else:
-                unit.band = _conjunction_band(config.omega, parts_bands)
-            if unit.band.gap <= 0:
-                raise CompileError(
-                    f"unit {unit.label!r} has no separation between true and false "
-                    f"activations at omega={config.omega}; increase omega"
-                )
+    # The output softmax: a negated and a plain calibrated copy of the root,
+    # for the negative and the positive class.
+    for label, negated in zip(classes, (True, False)):
+        place(label, n_levels + 1, "and", [(placed[(root, n_levels)], negated)])
 
     # Assemble weight matrices level by level.
-    omega = config.omega
-    feature_index = {name: i for i, name in enumerate(feature_names)}
     layers: list[Layer] = []
-    unit_labels: list[list[str]] = []
-    widths = [len(feature_names)] + [len(units_by_level[l]) for l in range(1, n_levels + 1)]
-
-    def source_index(part) -> int:
-        return feature_index[part] if isinstance(part, str) else part.index
-
-    for lvl in range(1, n_levels + 1):
-        n_out, n_in = widths[lvl], widths[lvl - 1]
-        weights = np.zeros((n_out, n_in))
-        biases = np.zeros(n_out)
-        mask = np.zeros((n_out, n_in), dtype=bool)
-        for unit in units_by_level[lvl]:
+    for lvl in range(1, n_levels + 2):
+        units = units_by_level[lvl]
+        weights = np.zeros((len(units), len(units_by_level[lvl - 1])))
+        biases = np.zeros(len(units))
+        mask = np.zeros(weights.shape, dtype=bool)
+        for unit in units:
             if unit.kind == "extra":
                 continue
             if unit.kind == "or":
@@ -275,32 +252,15 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
                 p = sum(0.0 if neg else 1.0 for _, neg in unit.parts)
                 bias = -omega * (p - 0.5)
             for src, negated in unit.parts:
-                band = band_of(src)
-                w = omega / band.gap
-                col = source_index(src)
+                w = omega / src.band.gap
                 # accumulate: a repeated antecedent (C :- A, A.) keeps AND
                 # semantics, and C :- A, not A. cancels to never-fires
-                weights[unit.index, col] += -w if negated else w
-                bias += (w if negated else -w) * band.f_hi
-                mask[unit.index, col] = True
+                weights[unit.index, src.index] += -w if negated else w
+                bias += (w if negated else -w) * src.band.f_hi
+                mask[unit.index, src.index] = True
             biases[unit.index] = bias
-        layers.append(Layer(weights, biases, "sigmoid", knowledge_mask=mask))
-        unit_labels.append([u.label for u in units_by_level[lvl]])
-
-    root_unit = placed[(root, n_levels)]
-    root_band = root_unit.band
-    n_top = widths[-1]
-    out_w = np.zeros((2, n_top))
-    out_b = np.zeros(2)
-    out_mask = np.zeros((2, n_top), dtype=bool)
-    w_root = omega / root_band.gap
-    out_w[1, root_unit.index] = w_root
-    out_w[0, root_unit.index] = -w_root
-    out_b[1] = -omega / 2.0 - w_root * root_band.f_hi
-    out_b[0] = omega / 2.0 + w_root * root_band.f_hi
-    out_mask[:, root_unit.index] = True
-    layers.append(Layer(out_w, out_b, "softmax", knowledge_mask=out_mask))
-    unit_labels.append(list(classes))
+        activation = "softmax" if lvl == n_levels + 1 else "sigmoid"
+        layers.append(Layer(weights, biases, activation, knowledge_mask=mask))
 
     # Steps 6-7: full connectivity at noise scale, then perturb everything.
     rng = np.random.default_rng(config.seed)
@@ -312,6 +272,7 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
         layer.weights += base + noise
         layer.biases += rng.uniform(-s, s, size=layer.biases.shape)
 
+    unit_labels = [[unit.label for unit in units] for units in units_by_level[1:]]
     return Network(layers, unit_labels, feature_names, classes)
 
 

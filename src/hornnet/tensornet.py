@@ -581,10 +581,10 @@ class _Views(NamedTuple):
     layers: list[_LayerView]
 
 
-def _validation_score(net: Network, x, targets, loss, out=None):
+def _validation_score(net: Network, x, targets, loss):
     """Accuracy for cross-entropy, negated MSE otherwise: a float for one
-    network, one value per member for a stack. `out` is `_forward_full`'s."""
-    zs, acts = _forward_full(net, x, out=out)
+    network, one value per member for a stack."""
+    zs, acts = _forward_full(net, x)
     if loss == "cross_entropy":
         score = (acts[-1].argmax(axis=-1) == targets.argmax(axis=-1)).mean(axis=-1)
     else:
@@ -737,9 +737,8 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
     weights, grads = _layer_views(params, first.layers), _layer_views(grad, first.layers)
     spare_w = [w for w, _ in _layer_views(spare, first.layers)]
     # per layer, pre-activations (overwritten by the deltas) and activations
-    # of K full batches; steps and validation chunks use the leading rows
-    capacity = len(nets) * config.batch_size
-    buffers = [[np.empty((capacity, b.shape[-1])) for _ in range(2)] for _, b in weights]
+    # of K full batches; a step uses the leading rows
+    buffers = [[np.empty((len(nets) * config.batch_size, b.shape[-1])) for _ in range(2)] for _, b in weights]
 
     def leading(k, n, which):
         return [bufs[which][: k * n].reshape(k, n, -1) for bufs in buffers]
@@ -787,12 +786,6 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
         c1, c2 = (_bias_correction(beta, [m.steps for m in group]) for beta in (ADAM_BETA1, ADAM_BETA2))
         _adam_step(p, first_moment, second_moment, g, c1, c2, config.learning_rate, sp, g)
 
-    def validate(at, n):
-        """Scores of rows `at`, n validation rows each; in the buffers if they fit."""
-        idx = np.array([m.val_rows for m in stack[at]])
-        out = list(zip(leading(len(idx), n, 0), leading(len(idx), n, 1))) if len(idx) * n <= capacity else None
-        return _validation_score(views(at), x[idx], targets[idx], config.loss, out).tolist()
-
     results = {}
     for m in stack:
         m.next_epoch()
@@ -809,12 +802,12 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
             continue
 
         # members at an epoch's end validate in runs of adjacent rows with equal
-        # validation counts, in chunks of at most `capacity` rows
+        # validation counts, one call per run
         scores = {}
-        for lo, hi, n in _runs([done and len(m.val_rows) for m, done in zip(stack, ended)]):
-            chunk = max(1, capacity // n)
-            for c in range(lo, hi, chunk):
-                scores.update(zip(range(c, hi), validate(slice(c, min(c + chunk, hi)), n)))
+        for lo, hi, _ in _runs([done and len(m.val_rows) for m, done in zip(stack, ended)]):
+            idx = np.array([m.val_rows for m in stack[lo:hi]])
+            score = _validation_score(views(slice(lo, hi)), x[idx], targets[idx], config.loss)
+            scores.update(zip(range(lo, hi), score.tolist()))
         keep = []
         for r, (m, done) in enumerate(zip(stack, ended)):
             if done:

@@ -369,18 +369,36 @@ class TestInputErrors:
         assert err.startswith(f"hornnet: error: {not_utf8}: 'utf-8' codec can't decode byte 0xff in position ")
         assert err.endswith(": invalid start byte\n") and err.count("\n") == 1
 
+    @staticmethod
+    def rules_argv(command, synth_dir, rules) -> list[str]:
+        data = synth_dir / "train.csv"
+        if command == "train":
+            return ["train", "--data", str(data), "--rules", str(rules)]
+        return ["compare", "--train", str(data), "--test", str(synth_dir / "test.csv"), "--rules", str(rules)]
+
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_rule_file_not_utf8(self, tmp_path, synth_dir, capsys, command):
         rules = tmp_path / "latin1.rules"
         rules.write_bytes(RULES.encode().replace(b"Loop", b"L\xffop"))
-        data = synth_dir / "train.csv"
-        if command == "train":
-            argv = ["train", "--data", str(data), "--rules", str(rules)]
-        else:
-            argv = ["compare", "--train", str(data), "--test", str(synth_dir / "test.csv"), "--rules", str(rules)]
         position = RULES.index("Loop") + 1
-        err = self.run(tmp_path, capsys, argv)
+        err = self.run(tmp_path, capsys, self.rules_argv(command, synth_dir, rules))
         assert err == f"hornnet: error: {rules}: 'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte\n"
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Final_score :- CT_concepts CT_skills.\n", "line 1, column 28: expected '.', found 'CT_skills'"),
+            ("A :- B.\nB :- A.\n", "cycle detected among heads: ['A', 'B']"),
+            ("A :- B.\nA :- B.\n", "duplicate clause: A :- B."),
+        ],
+        ids=["syntax", "cycle", "duplicate"],
+    )
+    def test_invalid_rule_file(self, tmp_path, synth_dir, capsys, command, text, message):
+        rules = tmp_path / "bad.rules"
+        rules.write_text(text)
+        err = self.run(tmp_path, capsys, self.rules_argv(command, synth_dir, rules))
+        assert err == f"hornnet: error: {rules}: {message}\n"
 
     def test_empty_column_name(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
@@ -474,6 +492,22 @@ class TestFlagResolution:
         out = tmp_path / "d"
         assert main(["synth", "--seed", "1", "--out", str(out), "--config", str(flag_cfg)]) == 0
         assert len((out / "train.csv").read_text().splitlines()) == 73
+
+    def test_explicit_default_beats_env(self, tmp_path, monkeypatch):
+        argv = ["synth", "--rows", "40", "--test-rows", "20", "--seed", "0"]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        monkeypatch.setenv("HORNNET_SEED", "5")
+        out = tmp_path / "d"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+        assert digest_dir(out) == digest_dir(tmp_path / "plain")
+
+    def test_explicit_default_beats_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rows": 30}))
+        out = tmp_path / "d"
+        assert main(["synth", "--rows", "427", "--test-rows", "20", "--out", str(out), "--config", str(cfg)]) == 0
+        assert len((out / "train.csv").read_text().splitlines()) == 428
 
     def test_bad_positive_int_flag_names_no_function(self, tmp_path, capsys):
         assert main(["train", "--data", str(FIXTURE), "--max-epochs", "abc", "--out", str(tmp_path / "o")]) == 2

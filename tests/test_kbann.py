@@ -17,7 +17,7 @@ from hornnet.kbann import (
     _group_weights,
 )
 from hornnet.rulelang import RuleSet, parse_rules, random_ruleset, rewrite_disjuncts
-from hornnet.tensornet import Layer, Network, TrainConfig, forward, predict_labels, train
+from hornnet.tensornet import Layer, Network, TrainConfig, _sigmoid, forward, predict_labels, train
 
 EXACT = CompileConfig(omega=4.0, perturb_scale=0.0, extra_hidden_per_level=0)
 
@@ -79,11 +79,48 @@ class TestCompileExact:
         with pytest.raises(CompileError, match="root"):
             compile_rules(rules, ["X", "Y"], ["Low", "High"])
 
-    def test_disjuncts_must_be_rewritten(self):
-        rules = parse_rules("C :- A.\nC :- B.")
-        with pytest.raises(CompileError, match="rewrite_disjuncts"):
-            compile_rules(rules, ["A", "B"], ["Low", "High"])
-        compile_rules(rewrite_disjuncts(rules), ["A", "B"], ["Low", "High"])  # fine
+    def test_parsed_rules_compile_as_rewritten(self):
+        # compile_rules runs rewrite_disjuncts itself, so a parsed rule set with
+        # multi-clause heads gives the bytes of its rewrite
+        rng = np.random.default_rng(14)
+        multi = 0
+        for trial in range(40):
+            rules = random_ruleset(rng, negation_prob=0.3, multi_clause_prob=0.4)
+            multi += any(len(cs) > 1 for cs in rules.clauses_by_head.values())
+            features = sorted(rules.inputs) + ["unused"]
+            config = CompileConfig(seed=trial)
+            nets = [compile_rules(r, features, ["Low", "High"], config) for r in (rules, rewrite_disjuncts(rules))]
+            assert nets[0].unit_labels == nets[1].unit_labels
+            for a, b in zip(nets[0].layers, nets[1].layers):
+                for name in ("weights", "biases", "knowledge_mask"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert multi >= 10
+
+    def test_output_pair_closed_form(self):
+        # Low is a negated and High a plain calibrated copy of the root C:
+        # weights -+omega/gap and biases +-(omega/2 + w * f_hi), where the raw
+        # conjunction's bands are sigmoid(+-omega/2)
+        omega = EXACT.omega
+        net = compile_rules(parse_rules("C :- A, B."), ["A", "B"], ["Low", "High"], EXACT)
+        t_lo, f_hi = _sigmoid(np.array([omega / 2, -omega / 2]))
+        w = omega / (t_lo - f_hi)
+        out = net.layers[-1]
+        assert out.activation == "softmax" and net.unit_labels[-1] == ["Low", "High"]
+        assert out.weights.tolist() == [[-w], [w]]
+        assert out.biases.tolist() == [omega / 2 + w * f_hi, -omega / 2 - w * f_hi]
+        assert out.knowledge_mask.all()
+
+    def test_band_error_names_first_placed_unit(self):
+        # At omega 1 both Left (level 3) and Right (level 2) lack separation.
+        # Bands are checked as units are placed, heads in topological order
+        # with ties in file order, so the error names whichever comes first.
+        either = "Either :- x1, x3.\nEither :- x4.\nLeft :- Either, x5.\n"
+        right = "Right :- x0.\nRight :- x0, not x3, x4.\n"
+        config = CompileConfig(omega=1.0, perturb_scale=0.0, extra_hidden_per_level=0)
+        for text, named in ((either + right, "Left"), (right + either, "Right")):
+            rules = parse_rules(text + "Top :- Left, Right.\n")
+            with pytest.raises(CompileError, match=f"^unit '{named}' has no separation .* at omega=1.0; increase omega$"):
+                compile_rules(rules, sorted(rules.inputs), ["Low", "High"], config)
 
 
 class TestCompileProperties:
