@@ -207,33 +207,18 @@ def load_csv(path) -> Dataset:
     are reported with 1-based (row, column) positions.
 
     numpy's C reader parses the body in one call. A file it rejects, or whose
-    cells fail a check, is parsed once more with its whitespace-only lines
-    skipped, unless a line holds a quote. A file that fails again is read by
-    `_load_csv_rows`, the row-by-row reference, which returns its rows or
-    names its problem. On every file both accept, they return the same rows,
-    labels and origin; only the reference has the csv module's limit of
-    131072 characters per cell.
+    cells fail a check, is read again by `_load_csv_rows`, the row-by-row
+    reference, which returns its rows or names its problem. On every file
+    both accept, they return the same rows, labels and origin; only the
+    reference has the csv module's limit of 131072 characters per cell.
     """
     try:
-        for skip_blank in (False, True):
-            with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a byte-order mark
-                header = _read_header(path, csv.reader(fh))
-                data = _read_body(_nonblank_lines(fh) if skip_blank else fh, *header)
-            if data is not None:
-                return data
-        return _load_csv_rows(path)
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a byte-order mark
+            header = _read_header(path, csv.reader(fh))
+            data = _read_body(fh, *header)
+        return data if data is not None else _load_csv_rows(path)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from None
-
-
-def _nonblank_lines(fh):
-    """The lines of `fh` that hold more than whitespace. A line with a quote
-    raises ValueError: a skipped line could sit inside a quoted cell."""
-    for line in fh:
-        if '"' in line:
-            raise ValueError("a quoted cell may span lines")
-        if line.strip():
-            yield line
 
 
 def _read_header(path, reader):
@@ -261,9 +246,9 @@ def _read_header(path, reader):
 def _read_body(fh, width, feature_names, label_idx, origin_idx, feature_idx) -> Dataset | None:
     """The records after the header, parsed by `np.loadtxt` with one field per
     column: float64 for features, whole strings for the label and origin. None
-    where the C reader rejects the text or warns (a record of another cell
-    count, a whitespace-only line, a cell only float() reads, no records), a
-    label token is unknown or a cell is not finite."""
+    where `_load_csv_rows` must decide: the C reader rejects the text or warns
+    (a record of another cell count, a whitespace-only line, a cell only
+    float() reads, no records), a label token is unknown or a cell is not finite."""
     fields = np.dtype([(f"c{i}", object if i in (label_idx, origin_idx) else np.float64) for i in range(width)])
     try:
         with warnings.catch_warnings():

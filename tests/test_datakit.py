@@ -191,23 +191,6 @@ class TestCReader:
             load_csv(path)
         assert str(exc.value) == f"{path}: non-numeric cell 'x' at row 7, column 2"
 
-    def test_trailing_whitespace_line_without_falling_back(self, tmp_path, reference_calls):
-        path = _synth_csv(tmp_path)
-        padded = tmp_path / "padded.csv"
-        padded.write_text(path.read_text() + "  \n")
-        got = load_csv(padded)
-        assert reference_calls == []
-        assert_same_dataset(got, datakit._load_csv_rows(padded))
-        assert_same_dataset(got, load_csv(path))
-
-    def test_whitespace_line_inside_quoted_cell(self, tmp_path, reference_calls):
-        path = tmp_path / "d.csv"
-        path.write_text('a,Final_score,origin\n1,High,"real\n  \nrow"\n  \n2,Low,real\n')
-        got = load_csv(path)
-        assert reference_calls == [path]
-        assert list(got.origin) == ["real\n  \nrow", "real"]
-        assert got.rows.tolist() == [[1.0], [2.0]]
-
     @pytest.mark.parametrize("body", ["", "\n\n"], ids=["header_only", "blank_lines"])
     def test_no_data_rows_under_warnings_as_errors(self, tmp_path, body):
         path = tmp_path / "d.csv"
