@@ -41,14 +41,14 @@ def _minority_majority(data: Dataset):
 
 def _append_rows(data: Dataset, rows: np.ndarray, label: str, tag: str) -> Dataset:
     """`data` followed by `rows`, each labeled `label` with origin `tag`;
-    untagged original rows become "real"."""
+    untagged original rows become "real"; each column shares one str per value."""
     n = rows.shape[0]
-    origin = data.origin if data.origin is not None else np.full(data.n_rows, "real", dtype=object)
+    origin = data.origin if data.origin is not None else np.array(["real"] * data.n_rows, dtype=object)
     return replace(
         data,
         rows=np.vstack([data.rows, rows]),
-        labels=np.concatenate([data.labels, np.full(n, label, dtype=object)]),
-        origin=np.concatenate([origin, np.full(n, tag, dtype=object)]),
+        labels=np.concatenate([data.labels, np.array([label] * n, dtype=object)]),
+        origin=np.concatenate([origin, np.array([tag] * n, dtype=object)]),
     )
 
 

@@ -239,6 +239,12 @@ def _cmd_train(args, out: Path) -> list[Path]:
     inputs = [Path(args.data)]
 
     data = datakit.load_csv(args.data)
+    if model_kind == "nsai":  # a bad rule file fails before any augmentation
+        inputs.append(Path(args.rules))
+        compile_config = kbann.CompileConfig(omega=args.omega, seed=args.seed)
+        net = kbann.compile_rules(_read_rules(args.rules), data.feature_names, CLASSES, compile_config)
+    else:
+        net = evalharness.build_baseline(data, args.seed)
     if args.augment == "smote":
         data = augment.smote(data, augment.SmoteConfig(seed=args.seed))
     elif args.augment == "autoencoder":
@@ -247,16 +253,6 @@ def _cmd_train(args, out: Path) -> list[Path]:
     train_cfg = tensornet.TrainConfig(
         learning_rate=args.learning_rate, max_epochs=args.max_epochs, seed=args.seed
     )
-    if model_kind == "nsai":
-        inputs.append(Path(args.rules))
-        net = kbann.compile_rules(
-            _read_rules(args.rules),
-            data.feature_names,
-            CLASSES,
-            kbann.CompileConfig(omega=args.omega, seed=args.seed),
-        )
-    else:
-        net = evalharness.build_baseline(data, args.seed)
     net = replace(net, input_bounds=datakit.feature_bounds(data))
     trained, report = tensornet.train(net, data, train_cfg)
     tensornet.save_network(trained, out / "model.npz")

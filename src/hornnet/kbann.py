@@ -30,7 +30,7 @@ import numpy as np
 
 from .datakit import Dataset, scale
 from .rulelang import RuleSet, evaluate_boolean, rewrite_disjuncts
-from .tensornet import Layer, Network, _forward_full, _sigmoid, forward, predict_labels
+from .tensornet import Layer, Network, _final_activations, _sigmoid, forward, predict_labels
 
 __all__ = [
     "CompileConfig",
@@ -403,7 +403,7 @@ def extract_rules(net: Network, train_data: Dataset, group_tolerance: float = 0.
         values = (margins > 0).astype(np.float64)
 
     # the network's own classes, from the rows already scaled for the replay
-    net_out = _forward_full(net, scaled)[1][-1]
+    net_out = _final_activations(net, scaled)
     fidelity = float((margins.argmax(axis=1) == net_out.argmax(axis=1)).mean())
     return ExtractedRuleSet(rules=rules, fidelity=fidelity)
 

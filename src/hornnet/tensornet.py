@@ -153,8 +153,10 @@ class Layer:
 class Network:
     """Dense layers, their labels, and the per-input (lo, hi) bounds that `datakit.scale`
     maps raw inputs with, once per call of `train` and of each prediction entry point
-    (`_forward_full`, `_backprop` and `total_loss` take scaled inputs). The default
-    (0, 1) is bit-exact identity."""
+    (`_forward_full`, `_final_activations`, `_backprop` and `total_loss` take scaled
+    inputs). The default (0, 1) is bit-exact identity. Predictions and validation run
+    `_final_activations`, which keeps one layer's result at a time; training, `forward`
+    and the autoencoder's decode run `_forward_full`, which keeps every layer's."""
 
     layers: list[Layer]
     unit_labels: list[list[str]]
@@ -262,12 +264,29 @@ def _forward_full(net: Network, x: np.ndarray, start: int = 0, out=None, terms=N
     a = x
     layers = net.layers[start:]
     for layer, (z_buf, a_buf) in zip(layers, out or repeat((None, None))):
-        z = np.matmul(a, layer.weights.swapaxes(-1, -2), out=z_buf)
-        z += layer.biases[..., None, :]
-        a = _activate(z, layer.activation, a_buf, terms if layer is layers[-1] else None)
+        z, a = _layer_step(layer, a, z_buf, a_buf, terms if layer is layers[-1] else None)
         zs.append(z)
         acts.append(a)
     return zs, acts
+
+
+def _layer_step(layer, a, z_out=None, a_out=None, terms=None):
+    """A layer's pre-activations and activations for input `a`, into `z_out` and
+    `a_out` if given; `a_out` may be `z_out`, which every activation overwrites bit-exactly."""
+    z = np.matmul(a, layer.weights.swapaxes(-1, -2), out=z_out)
+    z += layer.biases[..., None, :]
+    return z, _activate(z, layer.activation, a_out, terms)
+
+
+def _final_activations(net: Network, x: np.ndarray, out=None) -> np.ndarray:
+    """`_forward_full(net, x)[1][-1]`, bit for bit, holding one layer's result
+    at a time: each layer's activations overwrite its pre-activations. `out`,
+    if given, holds one buffer per layer shaped like its result."""
+    a = x
+    for layer, buf in zip(net.layers, out or repeat(None)):
+        buf = np.empty(a.shape[:-1] + layer.biases.shape[-1:]) if buf is None else buf
+        _, a = _layer_step(layer, a, buf, buf)
+    return a
 
 
 def _as_batch(net: Network, x):
@@ -288,13 +307,16 @@ def forward(net: Network, x) -> list[np.ndarray]:
 
 
 def predict_proba(net: Network, x) -> np.ndarray:
-    return forward(net, x)[-1]
+    """`forward(net, x)[-1]`, bit for bit, holding one layer's result at a time."""
+    batch, single = _as_batch(net, x)
+    probs = _final_activations(net, scale(batch, net.input_bounds))
+    return probs[0] if single else probs
 
 
 def predictor(net: Network):
     """A callable equal to ``partial(predict_proba, net)`` that reuses a
     scaled-input buffer, the input bounds' lo and divisor tiled to full batch
-    shape, and one (z, a) buffer pair per layer across calls. The bounds are
+    shape, and one activation buffer per layer across calls. The bounds are
     `net`'s when the callable is made.
 
     The buffers grow to the largest batch seen; smaller batches use row-prefix
@@ -311,10 +333,10 @@ def predictor(net: Network):
         rows = batch.shape[0]
         if not inputs or inputs[0].shape[0] < rows:
             inputs[:] = [np.empty((rows, net.input_dim)), np.tile(lo, (rows, 1)), np.tile(divisor, (rows, 1))]
-            buffers[:] = [(np.empty((rows, layer.out_units)), np.empty((rows, layer.out_units))) for layer in net.layers]
+            buffers[:] = [np.empty((rows, layer.out_units)) for layer in net.layers]
         scaled = _rescale(batch, inputs[1][:rows], inputs[2][:rows], constant, out=inputs[0][:rows])
-        _, acts = _forward_full(net, scaled, out=[(z[:rows], a[:rows]) for z, a in buffers])
-        return (acts[-1][0] if single else acts[-1]).copy()
+        probs = _final_activations(net, scaled, out=[buf[:rows] for buf in buffers])
+        return (probs[0] if single else probs).copy()
 
     return predict
 
@@ -581,16 +603,15 @@ class _Views(NamedTuple):
     layers: list[_LayerView]
 
 
-def _validation_score(net: Network, x, targets, loss):
-    """Accuracy for cross-entropy, negated MSE otherwise: a float for one
-    network, one value per member for a stack."""
-    zs, acts = _forward_full(net, x)
+def _validation_score(net: Network, x, targets, loss) -> float:
+    """Accuracy for cross-entropy, negated MSE otherwise."""
+    out = _final_activations(net, x)
     if loss == "cross_entropy":
-        score = (acts[-1].argmax(axis=-1) == targets.argmax(axis=-1)).mean(axis=-1)
+        score = (out.argmax(axis=-1) == targets.argmax(axis=-1)).mean(axis=-1)
     else:
-        diff = acts[-1] - targets
+        diff = out - targets
         score = -((diff * diff).sum(axis=(-2, -1)) / x.shape[-2])
-    return float(score) if np.ndim(score) == 0 else score
+    return float(score)
 
 
 @dataclass
@@ -636,12 +657,11 @@ class _Member:
 
 
 def _runs(keys):
-    """(lo, hi, key) for each run of equal consecutive keys that are not 0."""
+    """(lo, hi, key) for each run of equal consecutive keys."""
     lo = 0
     for key, run in groupby(keys):
         hi = lo + len(list(run))
-        if key:
-            yield lo, hi, key
+        yield lo, hi, key
         lo = hi
 
 
@@ -692,8 +712,9 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
     and gradients are the rows of (K, P) arrays, so one numpy call serves
     every member whose batch has the same row count. Each member keeps its
     own seed, batch order, validation split, penalty scale and early
-    stopping, and leaves the stack when it stops. Batches are gathered from
-    one scaled copy of `data`. The networks must share layer shapes,
+    stopping, and leaves the stack when it stops. Members validate one at a
+    time, so validation holds one member's activations. Batches are gathered
+    from one scaled copy of `data`. The networks must share layer shapes,
     activations, input bounds and output names, and the configs may differ
     only in `seed`; otherwise ValueError, before any step.
     """
@@ -801,17 +822,13 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
         if not any(ended):
             continue
 
-        # members at an epoch's end validate in runs of adjacent rows with equal
-        # validation counts, one call per run
-        scores = {}
-        for lo, hi, _ in _runs([done and len(m.val_rows) for m, done in zip(stack, ended)]):
-            idx = np.array([m.val_rows for m in stack[lo:hi]])
-            score = _validation_score(views(slice(lo, hi)), x[idx], targets[idx], config.loss)
-            scores.update(zip(range(lo, hi), score.tolist()))
         keep = []
         for r, (m, done) in enumerate(zip(stack, ended)):
             if done:
-                snapshot, stop = m.end_epoch(scores.get(r))
+                score = None
+                if len(m.val_rows):
+                    score = _validation_score(views(r), x[m.val_rows], targets[m.val_rows], config.loss)
+                snapshot, stop = m.end_epoch(score)
                 if snapshot:
                     best[r] = params[r]
                 if stop:

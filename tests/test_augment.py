@@ -326,3 +326,16 @@ class TestAutoencoder:
         # synthetic rows stay within the observed raw ranges
         new = out.rows[train.n_rows :]
         assert np.all(new >= train.rows.min(axis=0)) and np.all(new <= train.rows.max(axis=0))
+
+
+class TestAppendedRows:
+    @pytest.mark.parametrize("balance", [smote, balance_with_autoencoder])
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_appended_columns_share_their_strings(self, balance, tagged):
+        # one str object per value, as datakit's own columns hold, not a copy per row
+        data = imbalanced(seed=9)
+        if tagged:
+            data = replace(data, origin=np.array(["real"] * data.n_rows, dtype=object))
+        out = balance(data)
+        assert len({id(v) for v in out.labels[data.n_rows :]}) == 1
+        assert len({id(v) for v in out.origin}) == len(set(out.origin.tolist())) == 2

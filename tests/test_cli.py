@@ -400,6 +400,29 @@ class TestInputErrors:
         err = self.run(tmp_path, capsys, self.rules_argv(command, synth_dir, rules))
         assert err == f"hornnet: error: {rules}: {message}\n"
 
+    @pytest.mark.parametrize("augmenter", ["smote", "balance_with_autoencoder"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Final_score :- CT_concepts CT_skills.\n", "{rules}: line 1, column 28: expected '.', found 'CT_skills'"),
+            ("Final_score :- Loop, Missing.\n", "rule inputs missing from feature_names: ['Missing']"),
+        ],
+        ids=["syntax", "compile"],
+    )
+    def test_bad_rules_fail_before_augmentation(self, tmp_path, synth_dir, capsys, monkeypatch, augmenter, text, message):
+        rules = tmp_path / "bad.rules"
+        rules.write_text(text)
+        argv = self.rules_argv("train", synth_dir, rules)
+        want = f"hornnet: error: {message.format(rules=rules)}\n"
+        assert self.run(tmp_path, capsys, argv) == want
+
+        def no_augmenter(*args, **kwargs):
+            raise AssertionError(f"augment.{augmenter} called")
+
+        monkeypatch.setattr(augment, augmenter, no_augmenter)
+        flag = "smote" if augmenter == "smote" else "autoencoder"
+        assert self.run(tmp_path, capsys, argv + ["--augment", flag]) == want
+
     def test_empty_column_name(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
         path.write_text("a,,Final_score\n" + "".join(f"{i},{i % 3},{'High' if i % 2 else 'Low'}\n" for i in range(20)))

@@ -10,6 +10,7 @@ import pytest
 from hornnet import tensornet
 from hornnet.datakit import CLASSES, Dataset, SynthConfig, feature_bounds, generate_synthetic, scale, subset
 from hornnet.kbann import CompileConfig, compile_rules
+from hornnet.rulelang import random_ruleset
 from hornnet.tensornet import (
     Layer,
     Network,
@@ -138,6 +139,89 @@ class TestForward:
         terms = []
         tensornet._forward_full(net, np.ones((5, 4)), terms=terms)
         assert terms == []
+
+
+def stacked(nets) -> tensornet._Views:
+    """Same-shape networks as one stack, as `train_stack` views them."""
+    return tensornet._Views(
+        [
+            tensornet._LayerView(np.stack([l.weights for l in ls]), np.stack([l.biases for l in ls]), ls[0].activation)
+            for ls in zip(*(net.layers for net in nets))
+        ]
+    )
+
+
+class TestFinalActivations:
+    """The inference pass keeps one layer's result at a time and equals the
+    last activations of the full pass bit for bit."""
+
+    @staticmethod
+    def assert_final_equals_full(net, x):
+        want = tensornet._forward_full(net, x)[1][-1]
+        got = tensornet._final_activations(net, x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", tensornet.ACTIVATIONS)
+    def test_random_nets(self, kind):
+        rng = np.random.default_rng(12)
+        for trial in range(12):
+            hidden = [(int(w), str(rng.choice(tensornet.ACTIVATIONS))) for w in rng.integers(1, 12, size=rng.integers(0, 4))]
+            specs = hidden + [(int(rng.integers(2, 5)), kind)]
+            nets = [build_network(5, specs, seed=100 * trial + k) for k in range(3)]
+            for net in nets:
+                for layer in net.layers:
+                    layer.biases[:] = rng.normal(scale=2.0, size=layer.out_units)
+            # inputs wide enough to reach both branches of the sigmoid
+            x = rng.normal(scale=10.0, size=(3, 40, 5))
+            for net, rows in zip(nets, x):
+                self.assert_final_equals_full(net, rows)
+            self.assert_final_equals_full(stacked(nets), x)
+
+    def test_compiled_nets(self, ct_rules, game_features):
+        rng = np.random.default_rng(13)
+        rule_sets = [ct_rules] + [random_ruleset(rng, negation_prob=0.3, multi_clause_prob=0.35) for _ in range(10)]
+        for trial, rules in enumerate(rule_sets):
+            features = list(game_features) if trial == 0 else sorted(rules.inputs) + ["unused"]
+            nets = [compile_rules(rules, features, CLASSES, CompileConfig(seed=10 * trial + k)) for k in range(3)]
+            x = rng.uniform(-0.5, 1.5, size=(3, 64, len(features)))
+            for net, rows in zip(nets, x):
+                self.assert_final_equals_full(net, rows)
+            self.assert_final_equals_full(stacked(nets), x)
+
+    def test_predict_proba_holds_two_layers(self):
+        # 20k rows of the 9-50-50-2 classifier: a 50-wide layer is 8 MB, and the
+        # full pass would hold four of them
+        net = build_mlp(9, [50, 50], 2, seed=3)
+        x = np.random.default_rng(14).uniform(size=(20_000, 9))
+        layer = x.shape[0] * 50 * 8
+        tracemalloc.start()
+        try:
+            probs = predict_proba(net, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (20_000, 2)
+        assert peak < 2 * layer + 2 * x.nbytes  # two layers, the scaled input and the result
+
+    def test_train_stack_validation_holds_two_layers_of_one_member(self, monkeypatch):
+        data, _ = generate_synthetic(SynthConfig(n_rows=10_000, n_test=10, seed=5))
+        real, peaks = tensornet._validation_score, []
+
+        def traced(net, x, targets, loss):
+            tracemalloc.start()
+            try:
+                score = real(net, x, targets, loss)
+                peaks.append((x.shape[:-1], tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return score
+
+        monkeypatch.setattr(tensornet, "_validation_score", traced)
+        nets = [build_mlp(9, [50, 50], 2, seed=k, class_names=CLASSES) for k in range(3)]
+        train_stack(nets, data, [TrainConfig(seed=k, max_epochs=1) for k in range(3)])
+        layer = 1000 * 50 * 8  # one member's 50-wide layer over its 1000 validation rows
+        assert max(peak for _, peak in peaks) < 2.5 * layer  # two such layers and the scores' small arrays
+        assert [shape for shape, _ in peaks] == [(1000,)] * 3  # each member alone
 
 
 class TestInputBounds:
@@ -470,20 +554,23 @@ class TestFlatParameterTraining:
             assert report.stopped_early and report.best_epoch < report.epochs_run
 
     def test_one_forward_pass_per_batch(self, toy_dataset, monkeypatch):
+        # a full pass per training batch, and a final-activations pass per
+        # epoch's validation
         calls = []
-        real = tensornet._forward_full
+        for name in ("_forward_full", "_final_activations"):
 
-        def counting(net, x, start=0, out=None, terms=None):
-            calls.append(len(x))
-            return real(net, x, start)
+            def counting(*args, real=getattr(tensornet, name), name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(tensornet, "_forward_full", counting)
+            monkeypatch.setattr(tensornet, name, counting)
         config = TrainConfig(seed=3, max_epochs=6, batch_size=8)
         _, report = train(build_mlp(3, [5], 2, seed=3, class_names=["Low", "High"]), toy_dataset, config)
         train_idx, val_idx = validation_split(60, config.validation_fraction, config.seed, toy_dataset.labels)
         batches = -(-len(train_idx) // config.batch_size)
         assert len(val_idx) > 0
         assert len(calls) == report.epochs_run * (batches + 1)
+        assert calls.count("_final_activations") == report.epochs_run
 
 
 class TestTrainStack:
