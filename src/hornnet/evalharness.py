@@ -1,11 +1,10 @@
-"""Metrics, correlation analysis, cross-validation, and the four-model
-comparison (plain classifier, SMOTE- and autoencoder-augmented variants, and
+"""Metrics, correlation analysis, cross-validation, and the comparison of the
+`MODEL_KINDS` (plain classifier, SMOTE- and autoencoder-augmented variants, and
 the knowledge-compiled network) on a shared test set."""
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,9 +25,6 @@ __all__ = [
     "report_to_json",
 ]
 
-log = logging.getLogger(__name__)
-
-MODEL_NAMES = ("deep_nn", "deep_nn_smote", "deep_nn_autoencoder", "nsai")
 BASELINE_HIDDEN = (50, 50)
 IMPORTANCE_REPEATS = 5  # shuffles of the spurious feature per permutation importance
 
@@ -141,6 +137,28 @@ def build_baseline(data: Dataset, seed: int) -> tensornet.Network:
     )
 
 
+def _baseline_kind(data: Dataset, rules: RuleSet, seed: int) -> tensornet.Network:
+    return build_baseline(data, seed)
+
+
+def _compiled_kind(data: Dataset, rules: RuleSet, seed: int) -> tensornet.Network:
+    return kbann.compile_rules(rules, data.feature_names, CLASSES, kbann.CompileConfig(seed=seed))
+
+
+# (name, training rows, builder) in report order. The name seeds the model, the rows
+# key `run_comparison`'s datasets, and the builder maps (train_data, rules, seed) to a net.
+MODEL_KINDS = (
+    ("deep_nn", "train", _baseline_kind),
+    ("deep_nn_smote", "smote_train", _baseline_kind),
+    ("deep_nn_autoencoder", "autoencoder_train", _baseline_kind),
+    ("nsai", "train", _compiled_kind),
+)
+
+
+def _seeded_builder(build, train_data: Dataset, rules: RuleSet, bounds):
+    return lambda seed: replace(build(train_data, rules, seed), input_bounds=bounds)
+
+
 def _train_with_folds(builder, source: Dataset, seed: int, cv_seed: int, k: int):
     """Train `builder(seed)` on all of `source` and cross-validate it, in one
     `tensornet.train_stack` call: member 0 is the final net, members 1..k the
@@ -173,44 +191,33 @@ def run_comparison(
     master_seed: int = 0,
     cv_folds: int = 10,
 ) -> ExperimentReport:
-    """Train and evaluate all four models with derived per-model seeds.
+    """Train and evaluate every model of `MODEL_KINDS` with derived per-model seeds.
 
     Every model trains with the default `TrainConfig`, and the knowledge model
     compiles with the default `CompileConfig`. All models are scored on the
     identical test rows, whose feature columns are matched by name to
     `train_data`'s; augmentation touches training rows only, and every model
     scales with `train_data`'s bounds. Permutation importance shuffles
-    `datakit.SPURIOUS_FEATURE`. A missing test column and rule compilation
-    errors surface before any augmentation or training.
+    `datakit.SPURIOUS_FEATURE`. A missing test column and any kind's builder
+    error (a rule compilation error) surface before any augmentation or training.
     """
     test_data = datakit._match_columns(test_data, train_data.feature_names, "test_data")
     bounds = datakit.feature_bounds(train_data)
+    for _, _, build in MODEL_KINDS:  # fail fast on a rule/schema mismatch
+        build(train_data, rules, master_seed)
 
-    def compiled_net(seed: int) -> tensornet.Network:
-        cfg = kbann.CompileConfig(seed=seed)
-        net = kbann.compile_rules(rules, train_data.feature_names, CLASSES, cfg)
-        return replace(net, input_bounds=bounds)
-
-    def baseline_net(seed: int) -> tensornet.Network:
-        return replace(build_baseline(train_data, seed), input_bounds=bounds)
-
-    compiled_net(derive_seed(master_seed, "nsai-compile-check"))  # fail fast on rule/schema mismatch
-
-    smote_train = augment.smote(train_data, augment.SmoteConfig(seed=derive_seed(master_seed, "smote")))
-    ae_train = augment.balance_with_autoencoder(train_data, seed=derive_seed(master_seed, "ae-sample"))
-
-    sources = {
-        "deep_nn": train_data,
-        "deep_nn_smote": smote_train,
-        "deep_nn_autoencoder": ae_train,
-        "nsai": train_data,
+    datasets = {
+        "train": train_data,
+        "smote_train": augment.smote(train_data, augment.SmoteConfig(seed=derive_seed(master_seed, "smote"))),
+        "autoencoder_train": augment.balance_with_autoencoder(train_data, seed=derive_seed(master_seed, "ae-sample")),
+        "test": test_data,
     }
     models, train_reports, cv_accuracy, test_metrics, importances = {}, {}, {}, {}, {}
     truth = test_data.labels.astype(str)
-    for name in MODEL_NAMES:
+    for name, rows, build in MODEL_KINDS:
         models[name], train_reports[name], cv_accuracy[name] = _train_with_folds(
-            compiled_net if name == "nsai" else baseline_net,
-            sources[name],
+            _seeded_builder(build, train_data, rules, bounds),
+            datasets[rows],
             derive_seed(master_seed, name),
             derive_seed(master_seed, f"cv-{name}"),
             cv_folds,
@@ -225,14 +232,7 @@ def run_comparison(
             seed=derive_seed(master_seed, f"perm-{name}"),
         )
 
-    correlations, flags = correlation_table(
-        [
-            ("train", train_data),
-            ("smote_train", smote_train),
-            ("autoencoder_train", ae_train),
-            ("test", test_data),
-        ]
-    )
+    correlations, flags = correlation_table(list(datasets.items()))
     nsai_rules = kbann.extract_rules(models["nsai"], train_data)
 
     return ExperimentReport(

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datakit import Dataset, scale
+from .datakit import Dataset, _match_columns, scale
 from .rulelang import RuleSet, evaluate_boolean, rewrite_disjuncts
 from .tensornet import Layer, Network, _final_activations, _sigmoid, forward, predict_labels
 
@@ -364,9 +364,9 @@ def extract_rules(net: Network, train_data: Dataset, group_tolerance: float = 0.
     Incoming weights cluster into near-equal groups (one term per group, the
     group mean as its coefficient); the threshold is the negated bias, on
     inputs scaled with the network's `input_bounds`. Fidelity replays the raw
-    training rows, scaled the same way, through the rule system — a unit
-    fires when its terms' weighted activation sum exceeds the threshold — and
-    measures final-class agreement with the network itself.
+    training rows, matched by name to `input_names` and scaled the same way,
+    through the rule system — a unit fires when its terms' weighted activation
+    sum exceeds the threshold — and measures final-class agreement with the net.
     """
     if group_tolerance < 0:
         raise ValueError("group_tolerance must be >= 0")
@@ -377,6 +377,8 @@ def extract_rules(net: Network, train_data: Dataset, group_tolerance: float = 0.
         )
     if train_data.n_rows == 0:
         raise ValueError("fidelity is undefined on an empty training set")
+    if tuple(train_data.feature_names) != tuple(net.input_names):
+        train_data = _match_columns(train_data, net.input_names, "train_data")
 
     # Each layer's rules, then their replay: layer 0 sees the scaled
     # features, deeper layers the 0/1 firing pattern below. grouped[u, j] is
@@ -443,13 +445,14 @@ def extracted_rules_to_dict(extracted: ExtractedRuleSet) -> dict:
 
 
 def permutation_importance(net: Network, data: Dataset, feature: str, repeats: int = 5, seed: int = 0) -> float:
-    """Mean accuracy drop over seeded shuffles of one feature column."""
+    """Mean accuracy drop over seeded shuffles of one of `net`'s inputs, on `data` matched to them by name."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    try:
-        col = data.feature_names.index(feature)
-    except ValueError:
-        raise ValueError(f"unknown feature {feature!r}") from None
+    if feature not in net.input_names:
+        raise ValueError(f"unknown feature {feature!r}")
+    if tuple(data.feature_names) != tuple(net.input_names):
+        data = _match_columns(data, net.input_names, "data")
+    col = data.feature_names.index(feature)
     truth = data.labels.astype(str)
     base = float((predict_labels(net, data.rows).astype(str) == truth).mean())
     rng = np.random.default_rng(seed)

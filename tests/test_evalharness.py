@@ -4,9 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hornnet import augment, tensornet
+from hornnet import augment, evalharness, tensornet
 from hornnet.datakit import (
-    CLASSES,
     SPURIOUS_FEATURE,
     DataError,
     Dataset,
@@ -17,20 +16,20 @@ from hornnet.datakit import (
     subset,
 )
 from hornnet.evalharness import (
-    MODEL_NAMES,
+    MODEL_KINDS,
+    _seeded_builder,
     _train_with_folds,
-    build_baseline,
     compute_metrics,
     correlation_table,
     derive_seed,
     render_correlation_table,
     render_metrics_table,
     render_report_text,
+    report_to_dict,
     report_to_json,
     run_comparison,
 )
-from hornnet.kbann import CompileConfig, compile_rules
-from hornnet.rulelang import parse_rules, rewrite_disjuncts
+from hornnet.rulelang import parse_rules
 from hornnet.tensornet import TrainConfig, predict_labels, train
 
 
@@ -146,13 +145,17 @@ def small_report(small_setup):
 CORRELATION_DATASETS = ["train", "smote_train", "autoencoder_train", "test"]
 
 
+def model_names():
+    return [name for name, _, _ in evalharness.MODEL_KINDS]
+
+
 class TestComparison:
     def test_report_structure(self, small_setup, small_report):
         _, train, _ = small_setup
         report = small_report
-        assert set(report.test_metrics) == set(MODEL_NAMES)
-        assert set(report.cv_accuracy) == set(MODEL_NAMES)
-        assert set(report.permutation_importances) == set(MODEL_NAMES)
+        assert list(report.test_metrics) == model_names()
+        assert list(report.cv_accuracy) == model_names()
+        assert list(report.permutation_importances) == model_names()
         for feat in train.feature_names:
             assert set(report.correlations[feat]) == set(CORRELATION_DATASETS)
         assert len(report.nsai_rules.rules) >= 4
@@ -161,10 +164,13 @@ class TestComparison:
 
     def test_report_text_sections(self, small_report):
         lines = render_report_text(small_report).splitlines()
+        names = model_names()
         cv = lines.index("3-fold cross-validation accuracy (mean +- std)")
-        assert [line.split()[0] for line in lines[cv + 1 : cv + 5]] == list(MODEL_NAMES)
+        assert [line.split()[0] for line in lines[cv + 1 : cv + 1 + len(names)]] == names
+        assert lines[cv + 1 + len(names)] == ""
         perm = lines.index(f"Permutation importance of {SPURIOUS_FEATURE} (accuracy drop)")
-        assert [line.split()[0] for line in lines[perm + 1 : perm + 5]] == list(MODEL_NAMES)
+        assert [line.split()[0] for line in lines[perm + 1 : perm + 1 + len(names)]] == names
+        assert lines[perm + 1 + len(names)] == ""
 
     def test_correlation_table_text(self, small_setup, small_report):
         _, train, _ = small_setup
@@ -199,6 +205,40 @@ class TestComparison:
         no_loop = replace(test, feature_names=[test.feature_names[i] for i in keep], rows=test.rows[:, keep])
         with pytest.raises(DataError, match=r"^test_data: missing feature column\(s\) the model needs: Loop$"):
             run_comparison(train, no_loop, rules, master_seed=5, cv_folds=3)
+
+    def test_one_more_kind_adds_one_row(self, small_setup, small_report, monkeypatch):
+        # a control is one more table entry; seeds derive from names, so the
+        # other rows keep their bytes
+        rules, train, test = small_setup
+        nsai_build = {name: build for name, _, build in MODEL_KINDS}["nsai"]
+        monkeypatch.setattr(evalharness, "MODEL_KINDS", (*MODEL_KINDS, ("control", "autoencoder_train", nsai_build)))
+        report = run_comparison(train, test, rules, master_seed=5, cv_folds=3)
+        got, want = report_to_dict(report), report_to_dict(small_report)
+        for key in ("test_metrics", "cv_accuracy", "permutation_importances", "epochs_run"):
+            assert list(got[key]) == [*want[key], "control"]
+            got[key] = {name: value for name, value in got[key].items() if name != "control"}
+        assert got == want
+
+        lines = render_report_text(report).splitlines()
+        rows = [i for i, line in enumerate(lines) if line.split()[:1] == ["control"]]
+        # the metrics table, the cross-validation and the permutation importance sections
+        assert len(rows) == 3
+        assert [line for i, line in enumerate(lines) if i not in rows] == render_report_text(small_report).splitlines()
+
+    def test_kind_builder_error_fails_before_augmentation(self, small_setup, monkeypatch):
+        calls = []
+        monkeypatch.setattr(augment, "smote", lambda *args, **kwargs: calls.append("smote"))
+        monkeypatch.setattr(augment, "balance_with_autoencoder", lambda *args, **kwargs: calls.append("autoencoder"))
+
+        def broken(data, rules, seed):
+            raise ValueError("broken kind")
+
+        # last in the table, so every kind's builder is checked, not only the knowledge model's
+        monkeypatch.setattr(evalharness, "MODEL_KINDS", (*MODEL_KINDS, ("broken", "train", broken)))
+        rules, train, test = small_setup
+        with pytest.raises(ValueError, match="broken kind"):
+            run_comparison(train, test, rules, master_seed=5, cv_folds=3)
+        assert calls == []
 
     def test_byte_identical_reports(self, small_setup):
         rules, train, test = small_setup
@@ -238,20 +278,16 @@ def per_fold_cross_validation(source, k, seed, builder):
     return float(np.mean(scores)), float(np.std(scores))
 
 
+CV_KINDS = {"baseline": "deep_nn", "compiled": "nsai"}  # test id -> a name of MODEL_KINDS
+
+
 class TestCrossValidation:
     @pytest.mark.parametrize("folds", [3, 10])
-    @pytest.mark.parametrize("kind", ["baseline", "compiled"])
+    @pytest.mark.parametrize("kind", list(CV_KINDS))
     def test_stacked_folds_equal_per_fold_training(self, small_setup, kind, folds):
         rules, data, _ = small_setup
-        bounds = feature_bounds(data)
-
-        def builder(seed):
-            if kind == "baseline":
-                net = build_baseline(data, seed)
-            else:
-                net = compile_rules(rewrite_disjuncts(rules), data.feature_names, CLASSES, CompileConfig(seed=seed))
-            return replace(net, input_bounds=bounds)
-
+        build = next(build for name, _, build in MODEL_KINDS if name == CV_KINDS[kind])
+        builder = _seeded_builder(build, data, rules, feature_bounds(data))
         seed, cv_seed = derive_seed(5, kind), derive_seed(5, f"cv-{kind}")
         model, report, cv = _train_with_folds(builder, data, seed, cv_seed, folds)
         assert cv == per_fold_cross_validation(data, folds, cv_seed, builder)
@@ -280,8 +316,9 @@ class TestCrossValidation:
         monkeypatch.setattr(tensornet, "train_stack", counting_stack)
         monkeypatch.setattr(tensornet, "train", counting_train)
         monkeypatch.setattr(augment, "train", counting_train)
-        run_comparison(data, test, rules, master_seed=5, cv_folds=3)
-        assert [n for caller, n in stacks if caller == "hornnet.evalharness"] == [4] * 4
+        cv_folds = 3
+        run_comparison(data, test, rules, master_seed=5, cv_folds=cv_folds)
+        assert [n for caller, n in stacks if caller == "hornnet.evalharness"] == [cv_folds + 1] * len(MODEL_KINDS)
         assert [n for caller, n in stacks if caller != "hornnet.evalharness"] == [1]  # inside train
         assert trains == ["hornnet.augment"]
 

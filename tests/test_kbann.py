@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hornnet.datakit import Dataset
+from hornnet.datakit import DataError, Dataset, SynthConfig, feature_bounds, generate_synthetic
+from hornnet.evalharness import build_baseline
 from hornnet.kbann import (
     CompileConfig,
     CompileError,
@@ -367,3 +368,37 @@ class TestTrainedPipeline:
         trained, _ = train(replace(net, input_bounds=feature_bounds(data)), data, TrainConfig(seed=0))
         extracted = extract_rules(trained, data)
         assert extracted.fidelity >= 0.9
+
+
+def reversed_columns(data):
+    return replace(data, feature_names=data.feature_names[::-1], rows=data.rows[:, ::-1])
+
+
+class TestColumnsByName:
+    """Extraction and permutation importance read a dataset's columns by name."""
+
+    def nets(self, ct_rules, train_data):
+        compiled = compile_rules(ct_rules, train_data.feature_names, ["Low", "High"], CompileConfig(seed=3))
+        bounds = feature_bounds(train_data)
+        return [replace(net, input_bounds=bounds) for net in (build_baseline(train_data, 3), compiled)]
+
+    def test_reversed_columns_give_the_same_results(self, ct_rules):
+        train_data, test_data = generate_synthetic(SynthConfig(seed=3))
+        baseline, nsai = (train(net, train_data, TrainConfig(seed=3))[0] for net in self.nets(ct_rules, train_data))
+        importance = permutation_importance(baseline, test_data, "Small_cheese", seed=1)
+        assert importance > 0
+        assert permutation_importance(baseline, reversed_columns(test_data), "Small_cheese", seed=1) == importance
+        assert extract_rules(nsai, reversed_columns(train_data)) == extract_rules(nsai, train_data)
+
+    def test_missing_column_named(self, ct_rules):
+        train_data, test_data = generate_synthetic(SynthConfig(seed=3))
+        baseline, nsai = self.nets(ct_rules, train_data)
+        keep = [i for i, name in enumerate(train_data.feature_names) if name != "Loop"]
+
+        def without_loop(data):
+            return replace(data, feature_names=tuple(data.feature_names[i] for i in keep), rows=data.rows[:, keep])
+
+        with pytest.raises(DataError, match=r"^data: missing feature column\(s\) the model needs: Loop$"):
+            permutation_importance(baseline, without_loop(test_data), "Small_cheese")
+        with pytest.raises(DataError, match=r"^train_data: missing feature column\(s\) the model needs: Loop$"):
+            extract_rules(nsai, without_loop(train_data))
