@@ -37,7 +37,7 @@ print("\nmean |importance| per feature (plain classifier):")
 for name, value in sorted(global_exp.mean_abs.items(), key=lambda kv: -kv[1]):
     print(f"  {name:<14} {value:.4f}")
 
-records = misprediction_report(predict_fn, test_data, n_samples=500, seed=3)
+records = misprediction_report(global_exp.mispredicted)
 print(f"\n{len(records)} mispredicted test rows:")
 print(format_misprediction_table(records))
 

@@ -125,6 +125,7 @@ def _flag_type(convert, accept, expected: str):
 
 
 _positive_int = _flag_type(int, lambda n: n > 0, "a positive integer")
+_seed = _flag_type(int, lambda n: n >= 0, "a non-negative integer")
 _split_rows = _flag_type(int, lambda n: n >= 10, "an integer >= 10")  # datakit.SynthConfig's floor
 _fold_count = _flag_type(int, lambda n: n >= 2, "an integer >= 2")
 _lime_samples = _flag_type(int, lambda n: n >= explain.MIN_SAMPLES, f"an integer >= {explain.MIN_SAMPLES}")
@@ -137,7 +138,7 @@ _correlation = _flag_type(float, lambda x: -1 < x < 1, "a number in (-1, 1)")
 
 def _add_common(sub, *, seed=True):
     if seed:
-        sub.add_argument("--seed", type=int, default=0, help="master seed")
+        sub.add_argument("--seed", type=_seed, default=0, help="master seed")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--config", default=None, help="JSON file with flag defaults")
 
@@ -300,7 +301,7 @@ def _cmd_explain(args, out: Path) -> list[Path]:
 
     predict_fn = tensornet.predictor(net)
     global_exp = explain.global_explain(predict_fn, data, n_samples=args.samples, seed=args.seed)
-    records = explain.misprediction_report(predict_fn, data, n_samples=args.samples, seed=args.seed)
+    records = explain.misprediction_report(global_exp.mispredicted)
     _write_json(
         out / "global_explanation.json",
         {

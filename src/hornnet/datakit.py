@@ -506,14 +506,15 @@ def _generate_split(n, spurious_r, config: SynthConfig, rng) -> Dataset:
         labels=labels,
         origin=np.array(["real"] * n, dtype=object),
     )
-    log.info(
-        "synthetic split: n=%d, %s, r(%s)=%.4f (target %.3f)",
-        n,
-        data.class_counts(),
-        SPURIOUS_FEATURE,
-        point_biserial(data.column(SPURIOUS_FEATURE), labels),
-        spurious_r,
-    )
+    if log.isEnabledFor(logging.INFO):  # the counts and the correlation cost a pass over the rows
+        log.info(
+            "synthetic split: n=%d, %s, r(%s)=%.4f (target %.3f)",
+            n,
+            data.class_counts(),
+            SPURIOUS_FEATURE,
+            point_biserial(data.column(SPURIOUS_FEATURE), labels),
+            spurious_r,
+        )
     return data
 
 

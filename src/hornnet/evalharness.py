@@ -287,8 +287,8 @@ def render_correlation_table(correlations: dict[str, dict[str, float]]) -> str:
 def metrics_to_dict(m: Metrics) -> dict:
     return {
         "accuracy": m.accuracy,
-        "recall": m.recall,
-        "precision": m.precision,
+        "recall": dict(m.recall),
+        "precision": dict(m.precision),
         "confusion": m.confusion.tolist(),
         "classes": list(m.classes),
     }
@@ -299,10 +299,10 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "master_seed": report.master_seed,
         "test_metrics": {k: metrics_to_dict(v) for k, v in report.test_metrics.items()},
         "cv_accuracy": {k: {"mean": v[0], "std": v[1]} for k, v in report.cv_accuracy.items()},
-        "correlations": report.correlations,
+        "correlations": {feat: dict(row) for feat, row in report.correlations.items()},
         "correlation_flags": [list(f) for f in report.correlation_flags],
         "spurious_feature": datakit.SPURIOUS_FEATURE,
-        "permutation_importances": report.permutation_importances,
+        "permutation_importances": dict(report.permutation_importances),
         "nsai_rules": kbann.extracted_rules_to_dict(report.nsai_rules),
         "epochs_run": {k: v.epochs_run for k, v in report.train_reports.items()},
     }

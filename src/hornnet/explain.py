@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datakit import CLASSES, Dataset, one_hot
+from .datakit import CLASSES, Dataset
 
 __all__ = [
     "FeatureStats",
@@ -54,10 +54,10 @@ class Explanation:
 
 @dataclass
 class GlobalExplanation:
-    features: tuple[str, ...]
     mean_signed: dict[str, float]
     mean_abs: dict[str, float]
     n_instances: int
+    mispredicted: list[Explanation]  # rows whose prediction is not their label, in row order
 
 
 @dataclass
@@ -138,26 +138,13 @@ def lime_explain(
     )
 
 
-def _explain_row(predict_fn, data: Dataset, i, stats, n_samples, seed):
-    """`lime_explain` of row i, seeded from (seed, i) so that results do not
-    depend on evaluation order."""
-    return lime_explain(
-        predict_fn,
-        data.rows[i],
-        stats,
-        n_samples=n_samples,
-        seed=np.random.SeedSequence((int(seed), int(i))),
-        instance_id=int(i),
-        true_label=str(data.labels[i]),
-    )
-
-
 def global_explain(predict_fn, data: Dataset, n_samples: int = 1000, seed=0) -> GlobalExplanation:
-    """Average per-instance surrogate importances over a dataset.
+    """Average per-instance surrogate importances over a dataset, and keep the
+    explanations of the rows whose prediction is not their label.
 
     Both the signed mean and the mean magnitude are reported per feature.
-    Per-instance seeds derive from (seed, row index), so results do not
-    depend on evaluation order.
+    Each row is explained once, seeded from (seed, row index), so results do
+    not depend on evaluation order.
     """
     if data.n_rows == 0:
         raise ValueError("dataset is empty")
@@ -165,37 +152,33 @@ def global_explain(predict_fn, data: Dataset, n_samples: int = 1000, seed=0) -> 
     signed = np.zeros(data.n_features)
     magnitude = np.zeros(data.n_features)
     index = {name: i for i, name in enumerate(stats.names)}
-    for i in range(data.n_rows):
-        exp = _explain_row(predict_fn, data, i, stats, n_samples, seed)
+    mispredicted = []
+    for i, (row, label) in enumerate(zip(data.rows, data.labels)):
+        exp = lime_explain(
+            predict_fn, row, stats, n_samples=n_samples, seed=np.random.SeedSequence((int(seed), i)),
+            instance_id=i, true_label=str(label),
+        )
         for name, _value, imp in exp.contributions:
             signed[index[name]] += imp
             magnitude[index[name]] += abs(imp)
+        if exp.predicted != exp.true_label:
+            mispredicted.append(exp)
     signed /= data.n_rows
     magnitude /= data.n_rows
     return GlobalExplanation(
-        features=stats.names,
         mean_signed={name: float(signed[index[name]]) for name in stats.names},
         mean_abs={name: float(magnitude[index[name]]) for name in stats.names},
         n_instances=data.n_rows,
+        mispredicted=mispredicted,
     )
 
 
-def misprediction_report(predict_fn, data: Dataset, n_samples: int = 1000, seed=0) -> list[MispredictionRecord]:
-    """Surrogate explanations for misclassified rows only.
-
-    Each record splits features into those supporting the (wrong) prediction
-    — importance sign agreeing with the predicted class — and those
-    contradicting it.
-    """
-    if data.n_rows == 0:
-        raise ValueError("dataset is empty")
-    stats = FeatureStats.from_dataset(data)
-    probs = np.asarray(predict_fn(data.rows), dtype=np.float64)
-    predicted = probs.argmax(axis=1)
-    truth = one_hot(data.labels, CLASSES).argmax(axis=1)
+def misprediction_report(mispredicted: list[Explanation]) -> list[MispredictionRecord]:
+    """Split each explanation of a misclassified row into the features
+    supporting the (wrong) prediction — importance sign agreeing with the
+    predicted class — and those contradicting it."""
     records = []
-    for i in np.flatnonzero(predicted != truth):
-        exp = _explain_row(predict_fn, data, i, stats, n_samples, seed)
+    for exp in mispredicted:
         # importances explain the positive-class probability
         wants_positive = exp.predicted == CLASSES[1]
         supporting = [c for c in exp.contributions if (c[2] > 0) == wants_positive and c[2] != 0]

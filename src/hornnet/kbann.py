@@ -22,7 +22,6 @@ a negated one for the negative class and a plain one for the positive class.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,8 +43,6 @@ __all__ = [
     "extracted_rules_to_dict",
     "permutation_importance",
 ]
-
-log = logging.getLogger(__name__)
 
 PASSTHROUGH_SEP = "__via"
 ACTIVATION_HIGH = 0.85

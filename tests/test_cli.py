@@ -180,6 +180,27 @@ class TestEvaluateExplainExtract:
         assert set(payload["mean_abs"]) == set(json.loads((out / "global_explanation.json").read_text())["mean_signed"])
         assert (out / "mispredictions.txt").exists()
 
+    def test_explain_explains_each_row_once(self, tmp_path, baseline, synth_dir, monkeypatch):
+        # flipped labels make sure that some rows are mispredicted
+        data = datakit.load_csv(synth_dir / "test.csv")
+        flipped = np.where(data.labels[:10] == "High", "Low", "High")
+        data = replace(data, labels=np.concatenate([flipped, data.labels[10:]]).astype(object))
+        datakit.save_csv(data, tmp_path / "flipped.csv")
+        explained = []
+        lime_explain = explain.lime_explain
+
+        def spy(*args, **kwargs):
+            explained.append(kwargs["instance_id"])
+            return lime_explain(*args, **kwargs)
+
+        monkeypatch.setattr(explain, "lime_explain", spy)
+        out = tmp_path / "exp"
+        argv = ["explain", "--model", str(baseline), "--data", str(tmp_path / "flipped.csv"), "--samples", "60"]
+        assert main(argv + ["--out", str(out)]) == 0
+        mispredicted = json.loads((out / "mispredictions.json").read_text())
+        assert len(mispredicted) > 0
+        assert explained == list(range(data.n_rows))
+
 
 def _save_columns(data: datakit.Dataset, order, path: Path) -> Path:
     """`data` written to `path` with its feature columns in `order`."""
@@ -569,6 +590,12 @@ class TestFlagResolution:
             (["synth", "--rows", "5"], {}, None),
             (["train"], {}, None),
             (["synth", "--bogus"], {}, None),
+            (["synth", "--seed", "-1"], {}, None),
+            (["synth"], {"HORNNET_SEED": "-1"}, None),
+            (["synth"], {}, {"seed": -1}),
+            (["train", "--data", str(FIXTURE), "--seed", "-1"], {}, None),
+            (["explain", "--model", "m.npz", "--data", str(FIXTURE), "--seed", "-1"], {}, None),
+            (["compare", "--train", "a", "--test", "b", "--rules", "r", "--seed", "-1"], {}, None),
         ],
     )
     def test_bad_values_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv, env, config):

@@ -1,3 +1,4 @@
+import logging
 import warnings
 from pathlib import Path
 
@@ -352,6 +353,27 @@ class TestGenerator:
     def test_infeasible_correlation_rejected(self):
         with pytest.raises(DataError):
             SynthConfig(train_spurious_r=1.5)
+
+    def test_split_log_computed_only_when_shown(self, monkeypatch, caplog):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return point_biserial(*args)
+
+        monkeypatch.setattr(datakit, "point_biserial", spy)
+        config = SynthConfig(n_rows=120, n_test=40, seed=5)
+        quiet = generate_synthetic(config)
+        assert calls == []
+        with caplog.at_level(logging.INFO, logger="hornnet.datakit"):
+            loud = generate_synthetic(config)
+        assert len(calls) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "synthetic split: n=120, {'High': 102, 'Low': 18}, r(Small_cheese)=0.8870 (target 0.887)",
+            "synthetic split: n=40, {'High': 34, 'Low': 6}, r(Small_cheese)=0.6320 (target 0.632)",
+        ]
+        for a, b in zip(quiet, loud):
+            assert np.array_equal(a.rows, b.rows) and list(a.labels) == list(b.labels)
 
 
 class TestHelpers:

@@ -1,3 +1,4 @@
+import copy
 import sys
 from dataclasses import replace
 
@@ -239,6 +240,22 @@ class TestComparison:
         with pytest.raises(ValueError, match="broken kind"):
             run_comparison(train, test, rules, master_seed=5, cv_folds=3)
         assert calls == []
+
+    def test_dicts_do_not_share_the_report_containers(self, small_report):
+        report = copy.deepcopy(small_report)
+        json_before, text_before = report_to_json(report), render_report_text(report)
+
+        def empty_every_container(value):
+            if isinstance(value, (dict, list)):
+                for item in list(value.values() if isinstance(value, dict) else value):
+                    empty_every_container(item)
+                value.clear()
+
+        empty_every_container(report_to_dict(report))
+        for metrics in report.test_metrics.values():
+            empty_every_container(evalharness.metrics_to_dict(metrics))
+        assert report_to_json(report) == json_before
+        assert render_report_text(report) == text_before
 
     def test_byte_identical_reports(self, small_setup):
         rules, train, test = small_setup

@@ -143,19 +143,16 @@ class TestMispredictions:
         rows = rng.uniform(-1, 1, (12, 2))
         model = logistic_model([5.0, 0.0])
         labels = np.where(model(rows)[:, 1] > 0.5, "High", "Low")
-        records = misprediction_report(model, self._dataset(rows, labels), n_samples=200, seed=0)
+        data = self._dataset(rows, labels)
+        records = misprediction_report(global_explain(model, data, n_samples=200, seed=0).mispredicted)
         assert records == []
-
-    def test_empty_dataset_rejected(self):
-        data = self._dataset(np.zeros((0, 2)), [])
-        with pytest.raises(ValueError, match="empty"):
-            misprediction_report(constant_model, data, seed=0)
 
     def test_supporting_features_agree_with_prediction(self):
         rows = np.array([[1.0, 0.0], [0.9, 0.1]])
         labels = ["Low", "Low"]  # model will confidently say High
         model = logistic_model([6.0, 0.5])
-        records = misprediction_report(model, self._dataset(rows, labels), n_samples=400, seed=1)
+        data = self._dataset(rows, labels)
+        records = misprediction_report(global_explain(model, data, n_samples=400, seed=1).mispredicted)
         assert len(records) == 2
         for rec in records:
             assert rec.explanation.predicted == "High"
@@ -175,7 +172,7 @@ class TestMispredictions:
         flip = rng.choice(40, size=9, replace=False)
         labels[flip] = np.where(labels[flip] == "High", "Low", "High")
         data = self._dataset(rows, labels)
-        records = misprediction_report(model, data, n_samples=200, seed=3)
+        records = misprediction_report(global_explain(model, data, n_samples=200, seed=3).mispredicted)
         metrics = compute_metrics(preds, labels)
         off_diagonal = metrics.confusion.sum() - np.trace(metrics.confusion)
         assert len(records) == off_diagonal == 9
@@ -183,7 +180,8 @@ class TestMispredictions:
     def test_table_rendering(self):
         rows = np.array([[1.0, 0.0], [0.8, 0.3], [0.9, -0.2]])
         model = logistic_model([6.0, 0.5])
-        records = misprediction_report(model, self._dataset(rows, ["Low", "Low", "Low"]), n_samples=200, seed=4)
+        data = self._dataset(rows, ["Low", "Low", "Low"])
+        records = misprediction_report(global_explain(model, data, n_samples=200, seed=4).mispredicted)
         text = format_misprediction_table(records)
         assert text.startswith("true,predicted,confidence,supporting,contradicting")
         assert "Low,High,(" in text
