@@ -38,7 +38,7 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict, seed, inputs: list[Path]):
+def _write_manifest(out_dir: Path, command: str, args: dict, seed, inputs: list[Path], outputs: list[Path]):
     # `out` is where results land, not part of what they are; leaving it out
     # keeps manifests byte-identical across output locations.
     manifest = {
@@ -48,10 +48,8 @@ def _write_manifest(out_dir: Path, command: str, args: dict, seed, inputs: list[
         "args": {k: v for k, v in sorted(args.items()) if k not in ("out", "config")},
         "seed": seed,
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {},
+        "outputs": {p.name: _sha256(p) for p in outputs},
     }
-    outputs = sorted(p for p in out_dir.iterdir() if p.name != "manifest.json")
-    manifest["outputs"] = {p.name: _sha256(p) for p in outputs if p.is_file()}
     _write_json(out_dir / "manifest.json", manifest)
 
 
@@ -97,7 +95,7 @@ def _resolve(args: argparse.Namespace, subparser: argparse.ArgumentParser, argv)
             source, value = path, config[key]
         else:
             continue
-        if value is not None and not isinstance(value, str):
+        if not isinstance(value, str):
             value = json.dumps(value)
         try:
             value = subparser._get_value(action, value)
@@ -203,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # --------------------------------------------------------------------------
 # Subcommand implementations. Each writes its outputs into `out` and returns
-# the input files its manifest records; `main` makes `out` and writes the
-# manifest.
+# the files it read and the files it wrote, which its manifest records; `main`
+# makes `out` and writes the manifest.
 # --------------------------------------------------------------------------
 
 
@@ -217,7 +215,7 @@ def _read_rules(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _cmd_synth(args, out: Path) -> list[Path]:
+def _cmd_synth(args, out: Path) -> tuple[list[Path], list[Path]]:
     config = datakit.SynthConfig(
         n_rows=args.rows,
         n_test=args.test_rows,
@@ -227,13 +225,14 @@ def _cmd_synth(args, out: Path) -> list[Path]:
         seed=args.seed,
     )
     train, test = datakit.generate_synthetic(config)
-    datakit.save_csv(train, out / "train.csv")
-    datakit.save_csv(test, out / "test.csv")
-    print(f"wrote {out / 'train.csv'} ({train.n_rows} rows), {out / 'test.csv'} ({test.n_rows} rows)")
-    return []
+    train_path, test_path = out / "train.csv", out / "test.csv"
+    datakit.save_csv(train, train_path)
+    datakit.save_csv(test, test_path)
+    print(f"wrote {train_path} ({train.n_rows} rows), {test_path} ({test.n_rows} rows)")
+    return [], [train_path, test_path]
 
 
-def _cmd_train(args, out: Path) -> list[Path]:
+def _cmd_train(args, out: Path) -> tuple[list[Path], list[Path]]:
     model_kind = args.model or ("nsai" if args.rules else "baseline")
     if model_kind == "nsai" and not args.rules:
         raise _UsageError("--model nsai requires --rules")
@@ -272,7 +271,7 @@ def _cmd_train(args, out: Path) -> list[Path]:
         },
     )
     print(f"trained {model_kind} model on {data.n_rows} rows -> {out / 'model.npz'}")
-    return inputs
+    return inputs, [out / "model.npz", out / "train_report.json"]
 
 
 def _scoring_inputs(args) -> tuple[tensornet.Network, datakit.Dataset]:
@@ -285,7 +284,7 @@ def _scoring_inputs(args) -> tuple[tensornet.Network, datakit.Dataset]:
     return net, datakit._match_columns(datakit.load_csv(args.data), net.input_names, args.data)
 
 
-def _cmd_evaluate(args, out: Path) -> list[Path]:
+def _cmd_evaluate(args, out: Path) -> tuple[list[Path], list[Path]]:
     net, data = _scoring_inputs(args)
     preds = tensornet.predict_labels(net, data.rows).astype(str)
     metrics = evalharness.compute_metrics(preds, data.labels.astype(str), CLASSES)
@@ -293,10 +292,10 @@ def _cmd_evaluate(args, out: Path) -> list[Path]:
     table = evalharness.render_metrics_table({"model": metrics})
     (out / "metrics.txt").write_text(table, encoding="utf-8")
     print(table, end="")
-    return [Path(args.model_path), Path(args.data)]
+    return [Path(args.model_path), Path(args.data)], [out / "metrics.json", out / "metrics.txt"]
 
 
-def _cmd_explain(args, out: Path) -> list[Path]:
+def _cmd_explain(args, out: Path) -> tuple[list[Path], list[Path]]:
     net, data = _scoring_inputs(args)
 
     predict_fn = tensornet.predictor(net)
@@ -326,20 +325,21 @@ def _cmd_explain(args, out: Path) -> list[Path]:
     ]
     _write_json(out / "mispredictions.json", structured)
     print(f"{len(records)} mispredicted rows explained -> {out}")
-    return [Path(args.model_path), Path(args.data)]
+    outputs = [out / name for name in ("global_explanation.json", "mispredictions.txt", "mispredictions.json")]
+    return [Path(args.model_path), Path(args.data)], outputs
 
 
-def _cmd_extract(args, out: Path) -> list[Path]:
+def _cmd_extract(args, out: Path) -> tuple[list[Path], list[Path]]:
     net, data = _scoring_inputs(args)
     extracted = kbann.extract_rules(net, data, group_tolerance=args.tolerance)
     text = kbann.format_extracted_rules(extracted)
     (out / "rules.txt").write_text(text, encoding="utf-8")
     _write_json(out / "rules.json", kbann.extracted_rules_to_dict(extracted))
     print(text, end="")
-    return [Path(args.model_path), Path(args.data)]
+    return [Path(args.model_path), Path(args.data)], [out / "rules.txt", out / "rules.json"]
 
 
-def _cmd_compare(args, out: Path) -> list[Path]:
+def _cmd_compare(args, out: Path) -> tuple[list[Path], list[Path]]:
     train_data = datakit.load_csv(args.train_path)
     # run_comparison matches the columns too; here a missing one names the file
     test_data = datakit._match_columns(datakit.load_csv(args.test_path), train_data.feature_names, args.test_path)
@@ -350,7 +350,7 @@ def _cmd_compare(args, out: Path) -> list[Path]:
     (out / "report.json").write_text(evalharness.report_to_json(report), encoding="utf-8")
     (out / "report.txt").write_text(evalharness.render_report_text(report), encoding="utf-8")
     print(evalharness.render_metrics_table(report.test_metrics), end="")
-    return [Path(args.train_path), Path(args.test_path), Path(args.rules)]
+    return [Path(args.train_path), Path(args.test_path), Path(args.rules)], [out / "report.json", out / "report.txt"]
 
 
 _COMMANDS = {
@@ -371,9 +371,9 @@ def main(argv=None) -> int:
         _resolve(args, _SUBPARSERS[args.command], argv[argv.index(args.command) + 1 :])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        inputs = _COMMANDS[args.command](args, out)
+        inputs, outputs = _COMMANDS[args.command](args, out)
         # evaluate and extract take no --seed; their manifests record None
-        _write_manifest(out, args.command, vars(args), getattr(args, "seed", None), inputs)
+        _write_manifest(out, args.command, vars(args), getattr(args, "seed", None), inputs, outputs)
     except SystemExit as exc:  # --help or --version
         return int(exc.code or 0)
     except _UsageError as exc:

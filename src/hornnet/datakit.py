@@ -177,7 +177,10 @@ def one_hot(labels, classes) -> np.ndarray:
 
 def _match_columns(data: Dataset, names, source) -> Dataset:
     """`data` with its feature columns matched by name to `names`, in that order;
-    other columns are dropped. A missing one is a DataError naming `source`."""
+    other columns are dropped. A missing one is a DataError naming `source`.
+    `data` itself is returned when its columns already follow `names`."""
+    if tuple(data.feature_names) == tuple(names):
+        return data
     if missing := [name for name in names if name not in data.feature_names]:
         raise DataError(f"{source}: missing feature column(s) the model needs: {', '.join(missing)}")
     order = [data.feature_names.index(name) for name in names]

@@ -374,8 +374,7 @@ def extract_rules(net: Network, train_data: Dataset, group_tolerance: float = 0.
         )
     if train_data.n_rows == 0:
         raise ValueError("fidelity is undefined on an empty training set")
-    if tuple(train_data.feature_names) != tuple(net.input_names):
-        train_data = _match_columns(train_data, net.input_names, "train_data")
+    train_data = _match_columns(train_data, net.input_names, "train_data")
 
     # Each layer's rules, then their replay: layer 0 sees the scaled
     # features, deeper layers the 0/1 firing pattern below. grouped[u, j] is
@@ -447,8 +446,7 @@ def permutation_importance(net: Network, data: Dataset, feature: str, repeats: i
         raise ValueError("repeats must be >= 1")
     if feature not in net.input_names:
         raise ValueError(f"unknown feature {feature!r}")
-    if tuple(data.feature_names) != tuple(net.input_names):
-        data = _match_columns(data, net.input_names, "data")
+    data = _match_columns(data, net.input_names, "data")
     col = data.feature_names.index(feature)
     truth = data.labels.astype(str)
     base = float((predict_labels(net, data.rows).astype(str) == truth).mean())

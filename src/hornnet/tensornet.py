@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datakit import Dataset, _rescale, _scaling, _stratified_mask, one_hot, scale
+from .datakit import Dataset, _match_columns, _rescale, _scaling, _stratified_mask, one_hot, scale
 
 __all__ = [
     "Layer",
@@ -123,6 +123,8 @@ class Layer:
         self.biases = np.asarray(self.biases, dtype=np.float64).reshape(-1)
         if self.biases.shape[0] != self.weights.shape[0]:
             raise ValueError("bias length must equal out_units")
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
+            raise ValueError("weights and biases must be finite")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.knowledge_mask is None:
@@ -545,6 +547,8 @@ def validation_split(n, fraction, seed, labels=None):
 
 def _resolve_training_arrays(net: Network, data):
     if isinstance(data, Dataset):
+        if set(net.input_names) <= set(data.feature_names):
+            data = _match_columns(data, net.input_names, "data")
         x, targets, labels = data.rows, one_hot(data.labels, net.output_names), data.labels
     else:
         x, targets = data
@@ -618,17 +622,16 @@ def _validation_score(net: Network, x, targets, loss) -> float:
 class _Member:
     """One network's own state in a training stack."""
 
-    config: TrainConfig
+    index: int  # its position in the stack's `nets`
     train_rows: np.ndarray  # source rows it steps on
     val_rows: np.ndarray  # source rows it validates on
     rng: np.random.Generator
     order: np.ndarray | None = None  # this epoch's training rows, in batch order
     pos: int = 0  # rows of `order` stepped so far
-    steps: int = 0
     epoch_loss: float = 0.0
     loss_history: list[float] = field(default_factory=list)
     score_history: list[float] = field(default_factory=list)
-    best_score: float = -np.inf
+    best_score: float | None = -np.inf  # None without validation rows
     best_epoch: int = 0
     bad_epochs: int = 0
     stopped_early: bool = False
@@ -637,23 +640,20 @@ class _Member:
         self.order = self.train_rows[self.rng.permutation(len(self.train_rows))]
         self.pos, self.epoch_loss = 0, 0.0
 
-    def end_epoch(self, score) -> tuple[bool, bool]:
+    def end_epoch(self, score, config: TrainConfig) -> tuple[bool, bool]:
         """Record the finished epoch and its validation `score` (None without
-        validation rows); returns (snapshot the weights, stop)."""
+        validation rows, when every epoch counts as the best); returns
+        (snapshot the weights, stop)."""
         self.loss_history.append(self.epoch_loss / len(self.train_rows))
-        epoch, improved = len(self.loss_history), False
-        if score is None:
-            self.score_history.append(float("nan"))
-            self.best_epoch = epoch
+        self.score_history.append(float("nan") if score is None else score)
+        epoch = len(self.loss_history)
+        improved = score is None or score > self.best_score
+        if improved:
+            self.best_score, self.best_epoch, self.bad_epochs = score, epoch, 0
         else:
-            self.score_history.append(score)
-            improved = score > self.best_score
-            if improved:
-                self.best_score, self.best_epoch, self.bad_epochs = score, epoch, 0
-            else:
-                self.bad_epochs += 1
-                self.stopped_early = self.bad_epochs >= self.config.patience
-        return improved, self.stopped_early or epoch == self.config.max_epochs
+            self.bad_epochs += 1
+            self.stopped_early = self.bad_epochs >= config.patience
+        return improved, self.stopped_early or epoch == config.max_epochs
 
 
 def _runs(keys):
@@ -663,14 +663,6 @@ def _runs(keys):
         hi = lo + len(list(run))
         yield lo, hi, key
         lo = hi
-
-
-def _bias_correction(beta, steps):
-    """Adam's 1 - beta**t per member step count t, as a column; one float when
-    the counts agree, which numpy applies faster."""
-    if len(set(steps)) == 1:
-        return 1 - beta ** steps[0]
-    return np.array([[1 - beta**t] for t in steps])
 
 
 def _adam_step(params, m, v, grad, c1, c2, learning_rate, t1, t2):
@@ -695,8 +687,9 @@ def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport
     """Train a private copy of `net`; returns the best-validation-epoch weights.
 
     `data` is a Dataset, whose targets are its labels one-hot over
-    `net.output_names`, or an (x, targets) pair; the inputs are raw and are
-    scaled once with `net.input_bounds`.
+    `net.output_names` and whose columns are read by name when it has one for
+    every input name (by position otherwise), or an (x, targets) pair; the
+    inputs are raw and are scaled once with `net.input_bounds`.
     Early stopping fires after `patience` epochs without validation-score
     improvement: accuracy for cross-entropy, negated MSE otherwise.
     """
@@ -712,7 +705,8 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
     and gradients are the rows of (K, P) arrays, so one numpy call serves
     every member whose batch has the same row count. Each member keeps its
     own seed, batch order, validation split, penalty scale and early
-    stopping, and leaves the stack when it stops. Members validate one at a
+    stopping, and leaves the stack when it stops. Each pass steps every member
+    left once, so all share one Adam step count. Members validate one at a
     time, so validation holds one member's activations. Batches are gathered
     from one scaled copy of `data`. The networks must share layer shapes,
     activations, input bounds and output names, and the configs may differ
@@ -736,15 +730,14 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
     x, targets, labels = _resolve_training_arrays(first, data)
     x = scale(x, first.input_bounds)
     stack = []  # stack[r] is the member whose state is row r of the arrays below
-    for member_rows, member_config in zip(rows, configs):
+    for j, (member_rows, member_config) in enumerate(zip(rows, configs)):
         member_rows = np.arange(len(x)) if member_rows is None else np.asarray(member_rows, dtype=int)
         if len(member_rows) == 0:
             raise TrainingError("training data is empty")
         member_labels = None if labels is None else labels[member_rows]
         split = validation_split(len(member_rows), config.validation_fraction, member_config.seed, member_labels)
         rng = np.random.default_rng(member_config.seed + 1)
-        stack.append(_Member(member_config, *(member_rows[idx] for idx in split), rng))
-    members = list(stack)
+        stack.append(_Member(j, *(member_rows[idx] for idx in split), rng))
 
     # Elementwise work on whole (k, P) rows costs a third of the same work on
     # strided per-layer views, so the penalty and its gradient are computed
@@ -752,7 +745,7 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
     # scale repeated along its row. `grad` doubles as scratch before
     # _backprop fills it and after Adam's second moment has read it.
     params = np.stack([_flat((layer.weights, layer.biases) for layer in net.layers) for net in nets])
-    adam_m, adam_v, best = np.zeros_like(params), np.zeros_like(params), np.empty_like(params)
+    adam_m, adam_v, best = np.zeros_like(params), np.zeros_like(params), params.copy()
     reg_scale = np.repeat([[1.0 / len(m.train_rows)] for m in stack], params.shape[1], axis=1)
     grad, spare = np.empty_like(params), np.empty_like(params)
     weights, grads = _layer_views(params, first.layers), _layer_views(grad, first.layers)
@@ -785,7 +778,7 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
                 arr[: len(perm)] = arr[perm]
         stack[:] = [stack[p] for p in perm]
 
-    def step(lo, hi, n):
+    def step(lo, hi, n, c1, c2):
         net, forward_out, magnitudes, backprop_out, penalty, (p, first_moment, second_moment, g, sp, reg) = plan(lo, hi, n)
         group = stack[lo:hi]
         idx = np.array([m.order[m.pos : m.pos + n] for m in group])
@@ -803,21 +796,21 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
         for m, value in zip(group, loss.tolist()):
             m.epoch_loss += value * n
             m.pos += n
-            m.steps += 1
-        c1, c2 = (_bias_correction(beta, [m.steps for m in group]) for beta in (ADAM_BETA1, ADAM_BETA2))
         _adam_step(p, first_moment, second_moment, g, c1, c2, config.learning_rate, sp, g)
 
-    results = {}
+    results, t = [None] * len(nets), 0  # t: Adam's step count
     for m in stack:
         m.next_epoch()
     while stack:
+        t += 1
+        c1, c2 = 1 - ADAM_BETA1**t, 1 - ADAM_BETA2**t
         sizes = [min(config.batch_size, len(m.order) - m.pos) for m in stack]
         if len(set(sizes)) > 1:  # make members with equal batch sizes adjacent
             perm = sorted(range(len(stack)), key=lambda r: -sizes[r])
             reorder(perm)
             sizes = [sizes[r] for r in perm]
         for lo, hi, n in _runs(sizes):
-            step(lo, hi, n)
+            step(lo, hi, n, c1, c2)
         ended = [m.pos == len(m.order) for m in stack]
         if not any(ended):
             continue
@@ -828,21 +821,20 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
                 score = None
                 if len(m.val_rows):
                     score = _validation_score(views(r), x[m.val_rows], targets[m.val_rows], config.loss)
-                snapshot, stop = m.end_epoch(score)
+                snapshot, stop = m.end_epoch(score, config)
                 if snapshot:
                     best[r] = params[r]
                 if stop:
-                    j = members.index(m)
-                    model = nets[j].copy()
-                    _share_parameters(model)[...] = best[r] if m.best_score > -np.inf else params[r]
+                    model = nets[m.index].copy()
+                    _share_parameters(model)[...] = best[r]
                     report = TrainReport(len(m.loss_history), m.loss_history, m.score_history, m.stopped_early, m.best_epoch)
-                    results[j] = (model, report)
+                    results[m.index] = (model, report)
                     continue
                 m.next_epoch()
             keep.append(r)
         if len(keep) < len(stack):
             reorder(keep)
-    return [results[j] for j in range(len(nets))]
+    return results
 
 
 # --------------------------------------------------------------------------

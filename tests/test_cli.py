@@ -53,6 +53,15 @@ class TestSynth:
         train_lines = (synth_dir / "train.csv").read_text().splitlines()
         assert len(train_lines) == 161  # header + rows
 
+    def test_manifest_lists_only_what_it_wrote(self, tmp_path, synth_dir):
+        out = tmp_path / "mix"
+        out.mkdir()
+        (out / "notes.txt").write_text("not an output\n")
+        assert main(["synth", "--rows", "160", "--test-rows", "48", "--seed", "7", "--out", str(out)]) == 0
+        manifest = (out / "manifest.json").read_bytes()
+        assert set(json.loads(manifest)["outputs"]) == {"train.csv", "test.csv"}
+        assert manifest == (synth_dir / "manifest.json").read_bytes()
+
     def test_zero_rows_usage_error(self, tmp_path):
         assert main(["synth", "--rows", "0", "--out", str(tmp_path)]) == 2
 
@@ -86,6 +95,18 @@ class TestTrain:
         assert report["model"] == "baseline"
         counts = report["class_counts"]
         assert counts["High"] == counts["Low"]
+
+    def test_autoencoder_augmented_baseline(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        argv = ["train", "--data", str(FIXTURE), "--augment", "autoencoder", "--seed", "3"]
+        for out in (a, b):
+            assert main(argv + ["--out", str(out)]) == 0
+        report = json.loads((a / "train_report.json").read_text())
+        assert report["augment"] == "autoencoder"
+        counts = report["class_counts"]
+        assert counts["High"] == counts["Low"]
+        assert report["effective_rows"] == 2 * max(datakit.load_csv(FIXTURE).class_counts().values())
+        assert digest_dir(a) == digest_dir(b)
 
     def test_nsai_without_rules_usage_error(self, tmp_path, synth_dir):
         code = main([
@@ -612,6 +633,17 @@ class TestFlagResolution:
         assert "_positive_int" not in err
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    def test_null_config_values_read_as_text(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": None}))
+        assert main(["synth", "--config", str(cfg), "--out", "o"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"hornnet: error: argument --seed: expected a non-negative integer, got 'null' (from {cfg})\n"
+        cfg.write_text(json.dumps({"out": None, "rows": 40, "test_rows": 20}))
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert (tmp_path / "null" / "manifest.json").is_file()
+
     @pytest.mark.parametrize("raw", [b'{"rows": 3', b'{"rows": "\xff"}'], ids=["truncated", "not_utf8"])
     def test_unreadable_config_file_is_usage_error(self, tmp_path, capsys, raw):
         cfg = tmp_path / "cfg.json"
@@ -621,7 +653,7 @@ class TestFlagResolution:
         assert err.startswith(f"hornnet: error: {cfg}: config file is not valid JSON: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("damage", ["not_zip", "truncated", "member_missing", "version_1"])
+    @pytest.mark.parametrize("damage", ["not_zip", "truncated", "member_missing", "version_1", "nan_weight"])
     def test_bad_model_file_is_runtime_error(self, tmp_path, capsys, damage):
         good = tmp_path / "good"
         assert main(["train", "--data", str(FIXTURE), "--max-epochs", "2", "--out", str(good)]) == 0
@@ -636,6 +668,10 @@ class TestFlagResolution:
                 for info in src.infolist():
                     if info.filename != "w1.npy":
                         dst.writestr(info, src.read(info.filename))
+        elif damage == "nan_weight":
+            net = tensornet.load_network(good / "model.npz")
+            net.layers[0].weights[0, 0] = np.nan
+            tensornet.save_network(net, bad)
         else:  # a version-1 file: no input bounds
             with zipfile.ZipFile(good / "model.npz") as src, zipfile.ZipFile(bad, "w") as dst:
                 for info in src.infolist():
@@ -649,3 +685,4 @@ class TestFlagResolution:
         err = capsys.readouterr().err
         assert err.startswith(f"hornnet: error: {bad}: ") and err.count("\n") == 1
         assert damage != "version_1" or "format version 1 is not supported" in err
+        assert damage != "nan_weight" or err == f"hornnet: error: {bad}: unreadable model file: weights and biases must be finite\n"

@@ -389,6 +389,12 @@ class TestHelpers:
         with pytest.raises(DataError, match="label 'Medium' not in classes"):
             one_hot(["Low", "Medium", "Tall", "High"], ("Low", "High"))
 
+    def test_match_columns_in_order_returns_the_dataset(self):
+        data = Dataset(("a", "b"), np.array([[1.0, 2.0]]), np.array(["High"], object))
+        assert datakit._match_columns(data, ["a", "b"], "data") is data
+        swapped = datakit._match_columns(data, ["b", "a"], "data")
+        assert swapped.feature_names == ("b", "a") and swapped.rows.tolist() == [[2.0, 1.0]]
+
     def test_subset_keeps_origin(self):
         data = Dataset(
             ("x",),

@@ -385,6 +385,17 @@ class TestTrain:
         fresh, _ = train(net, (x, targets), TrainConfig(seed=0, loss="mean_squared_error", patience=1, max_epochs=1, l1=0, l2=0))
         assert abs(final_pred - forward(fresh, x[:1])[-1][0, 0]) < 1e-12
 
+    def test_no_improving_epoch_returns_the_initial_weights(self, toy_dataset):
+        # a step size of 1e308 drives the outputs to overflow, so the one
+        # epoch's validation score is -inf and epoch 0 stays the best
+        x = toy_dataset.rows
+        net = build_network(3, [(4, "relu"), (3, "linear")], seed=1)
+        config = TrainConfig(loss="mean_squared_error", learning_rate=1e308, max_epochs=1, batch_size=64, l1=0, l2=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trained, report = train(net, (x, x), config)
+        assert report.validation_score_history == [-np.inf] and report.best_epoch == 0
+        assert all(a.weights.tobytes() == b.weights.tobytes() for a, b in zip(trained.layers, net.layers))
+
     def test_determinism(self, toy_dataset):
         config = TrainConfig(seed=9, max_epochs=20)
         net = build_mlp(3, [6], 2, seed=9, class_names=["Low", "High"])
