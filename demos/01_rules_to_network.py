@@ -33,8 +33,8 @@ for labels, layer in zip(net.unit_labels, net.layers):
 
 print("\nknowledge links into CT_concepts:")
 idx = net.unit_labels[0].index("CT_concepts")
-for col in np.flatnonzero(net.layers[0].knowledge_mask[idx]):
-    print(f"  {features[col]:<12} weight {net.layers[0].weights[idx, col]:+.3f}")
+for lit in net.rules.clauses_by_head["CT_concepts"][0].body:
+    print(f"  {str(lit):<12} weight {net.layers[0].weights[idx, features.index(lit.symbol)]:+.3f}")
 print(f"  bias {net.layers[0].biases[idx]:+.3f}")
 
 ok = verify_compiled_logic(net, rules)

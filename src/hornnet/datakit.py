@@ -7,6 +7,7 @@ raw units; a network scales its own inputs (`tensornet.Network.input_bounds`).
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import warnings
 from dataclasses import dataclass, replace
@@ -325,19 +326,39 @@ def _load_csv_rows(path) -> Dataset:
     )
 
 
+# Rows per write of save_csv: one block's text is all it holds at a time.
+_SAVE_BLOCK_ROWS = 512
+
+
 def save_csv(data: Dataset, path) -> None:
-    """Write the dataset back out (labels as High/Low, full float precision)."""
+    """Write the dataset back out (labels as High/Low, full float precision), with
+    the bytes of one `csv.writer` row of `repr` floats and `str` label and origin
+    per dataset row. Rows go out in blocks, one `write` each; the csv module writes
+    each distinct (label, origin) tail once, after an empty cell that stands in for
+    the floats so that the tail is quoted as inside a row."""
     header = list(data.feature_names) + [LABEL_COLUMN]
+    tail_columns = [data.labels] if data.origin is None else [data.labels, data.origin]
     if data.origin is not None:
         header.append(ORIGIN_COLUMN)
+    lead = [""] if data.n_features else []  # a row of one empty cell is written as ""
+    tail_text = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n_rows):
-            record = [repr(float(v)) for v in data.rows[i]] + [str(data.labels[i])]
-            if data.origin is not None:
-                record.append(str(data.origin[i]))
-            writer.writerow(record)
+        fh.write(_csv_row(header))
+        for lo in range(0, data.n_rows, _SAVE_BLOCK_ROWS):
+            block = slice(lo, lo + _SAVE_BLOCK_ROWS)
+            lines = []
+            for row, tail in zip(data.rows[block].tolist(), zip(*(map(str, col[block]) for col in tail_columns))):
+                if tail not in tail_text:
+                    tail_text[tail] = _csv_row(lead + list(tail))
+                lines.append(",".join(map(repr, row)) + tail_text[tail])
+            fh.write("".join(lines))
+
+
+def _csv_row(cells) -> str:
+    """The text `csv.writer` writes for one row of `cells`, line end included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
 
 
 # --------------------------------------------------------------------------

@@ -159,11 +159,11 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
     Takes any parsed rule set with one root head and every rule input present
     in `feature_names`; multi-clause heads go through `rewrite_disjuncts`
     first. `classes` is (negative, positive); the root unit drives the
-    positive output.
+    positive output. The net keeps `rules`, as given, in `Network.rules`.
     """
     config = config or CompileConfig()
     omega = config.omega
-    rules = rewrite_disjuncts(rules)
+    given, rules = rules, rewrite_disjuncts(rules)
     feature_names = list(feature_names)
     classes = list(classes)
     if len(classes) != 2:
@@ -233,7 +233,10 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
     for label, negated in zip(classes, (True, False)):
         place(label, n_levels + 1, "and", [(placed[(root, n_levels)], negated)])
 
-    # Assemble weight matrices level by level.
+    # Assemble weight matrices level by level, then steps 6-7: noise-scale links
+    # everywhere but the knowledge links, and uniform noise on every parameter.
+    rng = np.random.default_rng(config.seed)
+    s = config.perturb_scale
     layers: list[Layer] = []
     for lvl in range(1, n_levels + 2):
         units = units_by_level[lvl]
@@ -256,21 +259,14 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
                 bias += (w if negated else -w) * src.band.f_hi
                 mask[unit.index, src.index] = True
             biases[unit.index] = bias
-        activation = "softmax" if lvl == n_levels + 1 else "sigmoid"
-        layers.append(Layer(weights, biases, activation, knowledge_mask=mask))
-
-    # Steps 6-7: full connectivity at noise scale, then perturb everything.
-    rng = np.random.default_rng(config.seed)
-    s = config.perturb_scale
-    for layer in layers:
-        base = rng.uniform(-s, s, size=layer.weights.shape)
-        base[layer.knowledge_mask] = 0.0
-        noise = rng.uniform(-s, s, size=layer.weights.shape)
-        layer.weights += base + noise
-        layer.biases += rng.uniform(-s, s, size=layer.biases.shape)
+        base = rng.uniform(-s, s, size=weights.shape)
+        base[mask] = 0.0
+        weights += base + rng.uniform(-s, s, size=weights.shape)
+        biases += rng.uniform(-s, s, size=biases.shape)
+        layers.append(Layer(weights, biases, "softmax" if lvl == n_levels + 1 else "sigmoid"))
 
     unit_labels = [[unit.label for unit in units] for units in units_by_level[1:]]
-    return Network(layers, unit_labels, feature_names, classes)
+    return Network(layers, unit_labels, feature_names, classes, rules=given)
 
 
 # --------------------------------------------------------------------------
@@ -367,7 +363,7 @@ def extract_rules(net: Network, train_data: Dataset, group_tolerance: float = 0.
     """
     if group_tolerance < 0:
         raise ValueError("group_tolerance must be >= 0")
-    if not net.has_knowledge_links():
+    if net.rules is None:
         raise ValueError(
             "network has no knowledge-labeled units; use the surrogate explainer "
             "(hornnet.explain) for plain models"

@@ -15,6 +15,7 @@ import json
 import math
 import zipfile
 import zlib
+from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import groupby, repeat
@@ -23,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datakit import Dataset, _match_columns, _rescale, _scaling, _stratified_mask, one_hot, scale
+from .rulelang import RuleSet, format_rules, parse_rules
 
 __all__ = [
     "Layer",
@@ -50,9 +52,8 @@ LOSSES = ("cross_entropy", "mean_squared_error")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-# Version 2 files also hold per-layer frozen{i}.npy masks, which load_network
-# ignores; version 1 files have no input bounds (bounds.npy) and are rejected.
-MODEL_FORMAT_VERSION = 3
+# Version 4 adds the compiled rule text to meta.json; older files are rejected.
+MODEL_FORMAT_VERSION = 4
 
 
 class TrainingError(RuntimeError):
@@ -60,12 +61,10 @@ class TrainingError(RuntimeError):
 
 
 def _sigmoid(z, out=None):
-    out = np.empty_like(z) if out is None else out
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, into `out`
+    (which may be `z`); exp(-|z|) never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def _row_max(z):
@@ -106,15 +105,11 @@ def _activate(z, kind, out=None, terms=None):
 
 @dataclass
 class Layer:
-    """One dense layer: weights are (out_units, in_units).
-
-    `knowledge_mask` marks links created from domain-knowledge rules.
-    """
+    """One dense layer: weights are (out_units, in_units)."""
 
     weights: np.ndarray
     biases: np.ndarray
     activation: str
-    knowledge_mask: np.ndarray | None = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -127,12 +122,6 @@ class Layer:
             raise ValueError("weights and biases must be finite")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.knowledge_mask is None:
-            self.knowledge_mask = np.zeros_like(self.weights, dtype=bool)
-        else:
-            self.knowledge_mask = np.asarray(self.knowledge_mask, dtype=bool)
-        if self.knowledge_mask.shape != self.weights.shape:
-            raise ValueError("mask shape must match weights")
 
     @property
     def out_units(self) -> int:
@@ -142,14 +131,6 @@ class Layer:
     def in_units(self) -> int:
         return self.weights.shape[1]
 
-    def copy(self) -> "Layer":
-        return Layer(
-            self.weights.copy(),
-            self.biases.copy(),
-            self.activation,
-            self.knowledge_mask.copy(),
-        )
-
 
 @dataclass
 class Network:
@@ -158,13 +139,15 @@ class Network:
     (`_forward_full`, `_final_activations`, `_backprop` and `total_loss` take scaled
     inputs). The default (0, 1) is bit-exact identity. Predictions and validation run
     `_final_activations`, which keeps one layer's result at a time; training, `forward`
-    and the autoencoder's decode run `_forward_full`, which keeps every layer's."""
+    and the autoencoder's decode run `_forward_full`, which keeps every layer's.
+    `rules` is the rule set a knowledge model was compiled from, None for a plain net."""
 
     layers: list[Layer]
     unit_labels: list[list[str]]
     input_names: list[str]
     output_names: list[str]
     input_bounds: np.ndarray | None = None
+    rules: RuleSet | None = None
 
     def __post_init__(self):
         if not self.layers:
@@ -197,16 +180,11 @@ class Network:
         return self.layers[-1].out_units
 
     def copy(self) -> "Network":
-        return Network(
-            [layer.copy() for layer in self.layers],
-            [list(labels) for labels in self.unit_labels],
-            list(self.input_names),
-            list(self.output_names),
-            self.input_bounds.copy(),
-        )
+        return deepcopy(self)
 
-    def has_knowledge_links(self) -> bool:
-        return any(layer.knowledge_mask.any() for layer in self.layers)
+
+def _placeholder_names(n) -> list[str]:
+    return [f"x{j + 1}" for j in range(n)]
 
 
 def build_network(input_dim, layer_specs, seed, input_names=None, output_names=None) -> Network:
@@ -227,7 +205,7 @@ def build_network(input_dim, layer_specs, seed, input_names=None, output_names=N
         layers.append(Layer(rng.uniform(-limit, limit, size=(width, fan_in)), np.zeros(width), activation))
         labels.append([f"u{i + 1}_{j + 1}" for j in range(width)])
         fan_in = width
-    input_names = list(input_names) if input_names else [f"x{j + 1}" for j in range(input_dim)]
+    input_names = list(input_names) if input_names else _placeholder_names(input_dim)
     output_names = list(output_names) if output_names else list(labels[-1])
     return Network(layers, labels, input_names, output_names)
 
@@ -546,8 +524,10 @@ def validation_split(n, fraction, seed, labels=None):
 
 
 def _resolve_training_arrays(net: Network, data):
+    """A Dataset's columns matched by name, or by position for placeholder names it lacks."""
     if isinstance(data, Dataset):
-        if set(net.input_names) <= set(data.feature_names):
+        placeholders = net.input_names == _placeholder_names(net.input_dim)
+        if not placeholders or set(net.input_names) <= set(data.feature_names):
             data = _match_columns(data, net.input_names, "data")
         x, targets, labels = data.rows, one_hot(data.labels, net.output_names), data.labels
     else:
@@ -882,7 +862,11 @@ def numerical_gradient_check(net: Network, x, targets, config=None, epsilon: flo
 
 
 def save_network(net: Network, path) -> None:
-    """Write a lossless model file (fixed-timestamp zip of .npy arrays + JSON meta)."""
+    """Write a lossless model file (fixed-timestamp zip of .npy arrays + JSON meta).
+    The rule set is written as its `format_rules` text, which must parse back to it."""
+    rules = None if net.rules is None else format_rules(net.rules)
+    if rules is not None and parse_rules(rules) != net.rules:
+        raise ValueError("the network's rule set does not parse back from its text")
     meta = {
         "format": "hornnet-network",
         "version": MODEL_FORMAT_VERSION,
@@ -891,12 +875,12 @@ def save_network(net: Network, path) -> None:
         "unit_labels": net.unit_labels,
         "input_names": net.input_names,
         "output_names": net.output_names,
+        "rules": rules,
     }
     arrays = {"bounds": net.input_bounds}
     for i, layer in enumerate(net.layers):
         arrays[f"w{i}"] = layer.weights
         arrays[f"b{i}"] = layer.biases
-        arrays[f"knowledge{i}"] = layer.knowledge_mask
 
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
         info = zipfile.ZipInfo("meta.json", date_time=(1980, 1, 1, 0, 0, 0))
@@ -916,17 +900,15 @@ def load_network(path) -> Network:
             meta = json.loads(zf.read("meta.json"))
             if meta.get("format") != "hornnet-network":
                 raise ValueError("not a hornnet model file")
-            if (version := meta.get("version")) not in (2, MODEL_FORMAT_VERSION):
+            if (version := meta.get("version")) != MODEL_FORMAT_VERSION:
                 raise ValueError(f"model file format version {version} is not supported; retrain the model")
 
             def arr(name):
                 return np.lib.format.read_array(io.BytesIO(zf.read(f"{name}.npy")), allow_pickle=False)
 
-            layers = [
-                Layer(arr(f"w{i}"), arr(f"b{i}"), meta["activations"][i], arr(f"knowledge{i}"))
-                for i in range(meta["n_layers"])
-            ]
-            return Network(layers, meta["unit_labels"], meta["input_names"], meta["output_names"], arr("bounds"))
+            layers = [Layer(arr(f"w{i}"), arr(f"b{i}"), meta["activations"][i]) for i in range(meta["n_layers"])]
+            rules = None if meta["rules"] is None else parse_rules(meta["rules"])
+            return Network(layers, meta["unit_labels"], meta["input_names"], meta["output_names"], arr("bounds"), rules)
     # zlib.error: members are written stored, but a file from elsewhere may be deflated
     except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: unreadable model file: {exc}") from None

@@ -653,7 +653,9 @@ class TestFlagResolution:
         assert err.startswith(f"hornnet: error: {cfg}: config file is not valid JSON: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("damage", ["not_zip", "truncated", "member_missing", "version_1", "nan_weight"])
+    @pytest.mark.parametrize(
+        "damage", ["not_zip", "truncated", "member_missing", "version_1", "version_2", "version_3", "bad_rules", "nan_weight"]
+    )
     def test_bad_model_file_is_runtime_error(self, tmp_path, capsys, damage):
         good = tmp_path / "good"
         assert main(["train", "--data", str(FIXTURE), "--max-epochs", "2", "--out", str(good)]) == 0
@@ -672,17 +674,20 @@ class TestFlagResolution:
             net = tensornet.load_network(good / "model.npz")
             net.layers[0].weights[0, 0] = np.nan
             tensornet.save_network(net, bad)
-        else:  # a version-1 file: no input bounds
+        else:  # an older format version (version 1 had no input bounds), or rule text that does not parse
+            edit = {"rules": "C :- ."} if damage == "bad_rules" else {"version": int(damage[-1])}
             with zipfile.ZipFile(good / "model.npz") as src, zipfile.ZipFile(bad, "w") as dst:
                 for info in src.infolist():
                     if info.filename == "meta.json":
-                        dst.writestr(info, json.dumps({**json.loads(src.read(info)), "version": 1}))
-                    elif info.filename != "bounds.npy":
+                        dst.writestr(info, json.dumps({**json.loads(src.read(info)), **edit}))
+                    elif damage != "version_1" or info.filename != "bounds.npy":
                         dst.writestr(info, src.read(info))
         capsys.readouterr()
         code = main(["evaluate", "--model", str(bad), "--data", str(FIXTURE), "--out", str(tmp_path / "e")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"hornnet: error: {bad}: ") and err.count("\n") == 1
-        assert damage != "version_1" or "format version 1 is not supported" in err
+        if damage.startswith("version_"):
+            assert f"format version {damage[-1]} is not supported; retrain the model" in err
+        assert damage != "bad_rules" or "unreadable model file: line 1, column 6: " in err
         assert damage != "nan_weight" or err == f"hornnet: error: {bad}: unreadable model file: weights and biases must be finite\n"

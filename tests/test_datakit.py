@@ -1,3 +1,4 @@
+import csv
 import logging
 import warnings
 from pathlib import Path
@@ -89,6 +90,53 @@ class TestLoadCsv:
         assert np.array_equal(again.rows, data.rows)
         assert list(again.labels) == list(data.labels)
         assert list(again.origin) == ["real"] * 12
+
+
+def reference_save_csv(data: Dataset, path) -> None:
+    """`save_csv` as one `csv.writer` row per dataset row: the bytes it must give."""
+    header = list(data.feature_names) + [datakit.LABEL_COLUMN]
+    if data.origin is not None:
+        header.append(datakit.ORIGIN_COLUMN)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(data.n_rows):
+            record = [repr(float(v)) for v in data.rows[i]] + [str(data.labels[i])]
+            if data.origin is not None:
+                record.append(str(data.origin[i]))
+            writer.writerow(record)
+
+
+def _save_csv_cases():
+    train, test = generate_synthetic(SynthConfig(n_rows=1100, n_test=300, seed=5))
+    extremes = np.array([[-0.0, 1e-05], [1e300, 5e-324], [-1e-05, -1e300], [0.1, 2.0]])
+    awkward = np.array(["a,b", 'say "hi"', "two\nlines", "cr\r", "", " pad "], dtype=object)
+    return {
+        "synth_train": train,
+        "synth_test": test,
+        "no_origin": Dataset(train.feature_names, train.rows, train.labels),
+        "extremes": Dataset(("x", "y"), extremes, np.array(["High", "Low"] * 2, dtype=object), np.array(["real"] * 4, dtype=object)),
+        "awkward_cells": Dataset(("x",), np.arange(6.0)[:, None], awkward, awkward[::-1]),
+        "awkward_labels": Dataset(("x",), np.arange(6.0)[:, None], awkward),
+        "no_features": Dataset((), np.zeros((6, 0)), awkward),
+    }
+
+
+class TestSaveCsv:
+    """`save_csv` writes blocks of rows, with the bytes of the row-by-row reference."""
+
+    @pytest.mark.parametrize("case", list(_save_csv_cases()))
+    def test_bytes_equal_reference(self, tmp_path, case):
+        data = _save_csv_cases()[case]
+        save_csv(data, tmp_path / "got.csv")
+        reference_save_csv(data, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", ["synth_train", "synth_test", "no_origin", "extremes"])
+    def test_load_csv_round_trip(self, tmp_path, case):
+        data = _save_csv_cases()[case]
+        save_csv(data, tmp_path / "d.csv")
+        assert_same_dataset(load_csv(tmp_path / "d.csv"), data)
 
 
 def assert_same_dataset(got: Dataset, want: Dataset):

@@ -17,16 +17,41 @@ from hornnet.kbann import (
     verify_compiled_logic,
     _group_weights,
 )
-from hornnet.rulelang import RuleSet, parse_rules, random_ruleset, rewrite_disjuncts
-from hornnet.tensornet import Layer, Network, TrainConfig, _sigmoid, forward, predict_labels, train
+from hornnet.rulelang import HornClause, Literal, RuleSet, format_rules, parse_rules, random_ruleset, rewrite_disjuncts
+from hornnet.tensornet import Layer, Network, TrainConfig, _sigmoid, forward, load_network, predict_labels, save_network, train
 
 EXACT = CompileConfig(omega=4.0, perturb_scale=0.0, extra_hidden_per_level=0)
+
+
+def rule_links(net):
+    """Per layer, a boolean (out, in) matrix of the links `net.rules` defines,
+    rebuilt from the rules and the unit labels: a rule unit links to the units
+    below that stand for its antecedents, a pass-through copy to its symbol's
+    unit below, each output unit to the root, and an extra unit to nothing."""
+    rules = rewrite_disjuncts(net.rules)
+    root = next(iter(rules.roots))
+    antecedents = {head: {lit.symbol for c in cs for lit in c.body} for head, cs in rules.clauses_by_head.items()}
+    links, sources = [], net.input_names
+    for li, labels in enumerate(net.unit_labels):
+        below = [unit_symbol(label) for label in sources]
+        mask = np.zeros((len(labels), len(sources)), dtype=bool)
+        for u, label in enumerate(labels):
+            if li == len(net.layers) - 1:
+                wanted = {root}
+            elif unit_symbol(label) != label:
+                wanted = {unit_symbol(label)}
+            else:
+                wanted = antecedents.get(label, set())
+            mask[u] = [symbol in wanted for symbol in below]
+        links.append(mask)
+        sources = labels
+    return links
 
 
 def unit_row(net, level, label):
     idx = net.unit_labels[level - 1].index(label)
     layer = net.layers[level - 1]
-    return layer.weights[idx], layer.biases[idx], layer.knowledge_mask[idx]
+    return layer.weights[idx], layer.biases[idx], rule_links(net)[level - 1][idx]
 
 
 class TestCompileExact:
@@ -93,8 +118,11 @@ class TestCompileExact:
             nets = [compile_rules(r, features, ["Low", "High"], config) for r in (rules, rewrite_disjuncts(rules))]
             assert nets[0].unit_labels == nets[1].unit_labels
             for a, b in zip(nets[0].layers, nets[1].layers):
-                for name in ("weights", "biases", "knowledge_mask"):
+                for name in ("weights", "biases"):
                     assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert nets[0].rules is rules and nets[1].rules == rewrite_disjuncts(rules)
+            for a, b in zip(rule_links(nets[0]), rule_links(nets[1])):
+                assert a.tobytes() == b.tobytes()
         assert multi >= 10
 
     def test_output_pair_closed_form(self):
@@ -109,7 +137,7 @@ class TestCompileExact:
         assert out.activation == "softmax" and net.unit_labels[-1] == ["Low", "High"]
         assert out.weights.tolist() == [[-w], [w]]
         assert out.biases.tolist() == [omega / 2 + w * f_hi, -omega / 2 - w * f_hi]
-        assert out.knowledge_mask.all()
+        assert rule_links(net)[-1].all()
 
     def test_band_error_names_first_placed_unit(self):
         # At omega 1 both Left (level 3) and Right (level 2) lack separation.
@@ -130,7 +158,7 @@ class TestCompileProperties:
         clean = compile_rules(ct_rules, game_features, ["Low", "High"], CompileConfig(perturb_scale=0.0, seed=1))
         noisy = compile_rules(ct_rules, game_features, ["Low", "High"], CompileConfig(perturb_scale=s, seed=1))
         for lc, ln in zip(clean.layers, noisy.layers):
-            knowledge = lc.knowledge_mask
+            knowledge = lc.weights != 0
             # knowledge links stay within s of their nominal (calibrated) value
             assert np.all(np.abs(ln.weights[knowledge] - lc.weights[knowledge]) <= s)
             assert np.all(np.abs(lc.weights[knowledge]) >= 4.0)  # at least omega-strength links
@@ -138,11 +166,25 @@ class TestCompileProperties:
 
     def test_knowledge_links_span_adjacent_levels_only(self, ct_rules, game_features):
         net = compile_rules(ct_rules, game_features, ["Low", "High"], CompileConfig(seed=2))
-        # by construction each layer's mask only references the layer below;
-        # check masks are where rules demand and nowhere else
-        total_links = sum(l.knowledge_mask.sum() for l in net.layers)
+        # by construction each layer's links only reference the layer below;
+        # check links are where rules demand and nowhere else
+        total_links = sum(mask.sum() for mask in rule_links(net))
         # 2 + 3 (level 1) + 2 (Final_score) + 2 (output pair)
         assert total_links == 9
+
+    def test_rule_set_survives_the_model_file_and_gives_the_links(self, ct_rules, game_features, tmp_path):
+        # the links rebuilt from a net's rule set and unit labels are exactly
+        # the nonzero weights of a perturbation-free compile
+        rng = np.random.default_rng(13)
+        cases = [(ct_rules, game_features)]
+        cases += [(rules, sorted(rules.inputs) + ["unused"]) for rules in (random_ruleset(rng, negation_prob=0.3, multi_clause_prob=0.3) for _ in range(50))]
+        for trial, (rules, features) in enumerate(cases):
+            net = compile_rules(rules, features, ["Low", "High"], CompileConfig(perturb_scale=0.0, seed=trial))
+            save_network(net, tmp_path / "model.npz")
+            loaded = load_network(tmp_path / "model.npz")
+            assert net.rules is rules and format_rules(loaded.rules) == format_rules(rules)
+            for layer, links in zip(net.layers, rule_links(loaded)):
+                assert np.array_equal(layer.weights != 0, links)
 
     def test_same_seed_identical(self, ct_rules, game_features):
         a = compile_rules(ct_rules, game_features, ["Low", "High"], CompileConfig(seed=5))
@@ -195,8 +237,8 @@ class TestExtraction:
 
     def test_single_weight_trivial_rule(self):
         layer = Layer(np.array([[0.9]]), np.array([-1.3]), "sigmoid")
-        inner = Layer(np.array([[1.0]]), np.array([0.0]), "sigmoid", knowledge_mask=np.array([[True]]))
-        net = Network([inner, layer], [["h"], ["u"]], ["x"], ["u"])
+        inner = Layer(np.array([[1.0]]), np.array([0.0]), "sigmoid")
+        net = Network([inner, layer], [["h"], ["u"]], ["x"], ["u"], rules=parse_rules("u :- h.\nh :- x."))
         data = Dataset(("x",), np.array([[0.2], [0.8]]), np.array(["Low", "High"], object))
         extracted = extract_rules(net, data)
         rule = next(r for r in extracted.rules if r.head == "u")
@@ -293,12 +335,19 @@ def random_knowledge_net(seed, widths=(9, 6, 4)):
     for n_in, n_out in zip(widths, widths[1:]):
         weights = rng.choice([-3.0, -1.0, 1.0, 3.0], (n_out, n_in)) + rng.normal(0, 0.05, (n_out, n_in))
         biases = -0.5 * weights.sum(axis=1) + rng.normal(0, 0.3, n_out)
-        layers.append(Layer(weights, biases, "sigmoid", knowledge_mask=np.ones((n_out, n_in), dtype=bool)))
+        layers.append(Layer(weights, biases, "sigmoid"))
     head = rng.choice([-2.0, 2.0], widths[-1]) + rng.normal(0, 0.05, widths[-1])
     head_bias = -0.5 * head.sum()
     layers.append(Layer(np.vstack([-head, head]), [-head_bias, head_bias], "softmax"))
+    inputs = [f"x{j}" for j in range(widths[0])]
     labels = [[f"h{i}_{j}" for j in range(n)] for i, n in enumerate(widths[1:])] + [["Low", "High"]]
-    return Network(layers, labels, [f"x{j}" for j in range(widths[0])], ["Low", "High"])
+    # every sigmoid unit is a rule over all the units below it
+    clauses = [
+        HornClause(head, tuple(map(Literal, sources)))
+        for sources, heads in zip([inputs] + labels, labels[:-1])
+        for head in heads
+    ]
+    return Network(layers, labels, inputs, ["Low", "High"], rules=RuleSet(clauses))
 
 
 class TestMatmulReplay:
@@ -325,9 +374,10 @@ class TestPermutationImportance:
         # pure threshold on the first feature: High iff x > 0.5; any others are ignored
         weights = np.zeros((1, len(inputs)))
         weights[0, 0] = 40.0
-        hidden = Layer(weights, np.array([-20.0]), "sigmoid", knowledge_mask=weights != 0)
+        hidden = Layer(weights, np.array([-20.0]), "sigmoid")
         out = Layer(np.array([[-8.0], [8.0]]), np.array([4.0, -4.0]), "softmax")
-        return Network([hidden, out], [["ind"], ["Low", "High"]], list(inputs), ["Low", "High"])
+        rules = parse_rules(f"ind :- {inputs[0]}.")
+        return Network([hidden, out], [["ind"], ["Low", "High"]], list(inputs), ["Low", "High"], rules=rules)
 
     def test_unused_feature_importance_zero(self):
         net = self.indicator_net(("f", "g"))
@@ -401,6 +451,15 @@ class TestColumnsByName:
             assert flipped_report == report
             # read by position, the reversed columns trained the baseline to a test accuracy of 0.494
             assert (predict_labels(flipped, test_data.rows) == test_data.labels).mean() > 0.9
+
+    def test_renamed_column_named_in_training(self, ct_rules):
+        # read by position, this train set trained the baseline to a test accuracy of 0.494
+        train_data, _ = generate_synthetic(SynthConfig(seed=3))
+        flipped = reversed_columns(train_data)
+        renamed = replace(flipped, feature_names=tuple(name.replace("Hitting_wall", "Wall") for name in flipped.feature_names))
+        for net in self.nets(ct_rules, train_data):
+            with pytest.raises(DataError, match=r"^data: missing feature column\(s\) the model needs: Hitting_wall$"):
+                train(net, renamed, TrainConfig(seed=3))
 
     def test_missing_column_named(self, ct_rules):
         train_data, test_data = generate_synthetic(SynthConfig(seed=3))

@@ -1,4 +1,3 @@
-import io
 import json
 import tracemalloc
 import zipfile
@@ -10,7 +9,7 @@ import pytest
 from hornnet import tensornet
 from hornnet.datakit import CLASSES, Dataset, SynthConfig, feature_bounds, generate_synthetic, scale, subset
 from hornnet.kbann import CompileConfig, compile_rules
-from hornnet.rulelang import random_ruleset
+from hornnet.rulelang import format_rules, parse_rules, random_ruleset, rewrite_disjuncts
 from hornnet.tensornet import (
     Layer,
     Network,
@@ -41,7 +40,7 @@ class TestBuild:
         net = build_mlp(9, [50, 50], 2, seed=0)
         shapes = [(l.out_units, l.in_units, l.activation) for l in net.layers]
         assert shapes == [(50, 9, "relu"), (50, 50, "relu"), (2, 50, "softmax")]
-        assert not net.has_knowledge_links()
+        assert net.rules is None
 
     def test_single_class_softmax_rejected(self):
         with pytest.raises(ValueError, match="output_dim >= 2"):
@@ -83,6 +82,23 @@ class TestForward:
         net = single_unit_net(4.0, -2.0, "sigmoid")
         out = forward(net, np.array([1.0]))[-1]
         assert abs(out[0] - 0.8807970779778823) < 1e-12
+
+    def test_sigmoid_equals_the_masked_formula(self):
+        # the masked form each sign's branch of `_sigmoid` stands for, bit for bit
+        def masked(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        edges = [0.0, 1e-320, 5e-324, 1e-300, 0.5, 1.0, 36.8, 37.0, 709.8, 745.1, 745.2, 746.0, 1e308, np.inf]
+        edges = np.array(edges + [-v for v in edges])
+        z = np.vstack([edges.reshape(-1, 4), np.random.default_rng(0).normal(0, 20, (2500, 4))])
+        want = masked(z).tobytes()
+        assert tensornet._sigmoid(z).tobytes() == want
+        assert tensornet._sigmoid(z, out=z) is z and z.tobytes() == want
 
     def test_relu_clamps(self):
         layer = Layer(np.eye(2), np.array([-1.0, 3.0]), "relu")
@@ -729,46 +745,42 @@ class TestSerialization:
         net = build_mlp(5, [7, 3], 2, seed=42, class_names=["Low", "High"])
         net.input_bounds[:, 0] = [-1.5, 0.0, 2.0, 1e-300, 7.0]
         net.input_bounds[:, 1] = [3.25, 0.0, 2.5, 1e300, 7.0]
-        net.layers[0].knowledge_mask[1, 2] = True
+        net.rules = parse_rules("C :- A, not B.\nC :- B.\n")
         path = tmp_path / "model.npz"
         save_network(net, path)
         loaded = load_network(path)
         for a, b in zip(net.layers, loaded.layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.biases, b.biases)
-            assert np.array_equal(a.knowledge_mask, b.knowledge_mask)
             assert a.activation == b.activation
+        assert loaded.rules == net.rules
         assert loaded.unit_labels == net.unit_labels
         assert loaded.output_names == net.output_names
         assert loaded.input_bounds.tobytes() == net.input_bounds.tobytes()
 
-    def test_version_3_written_and_version_2_read(self, tmp_path):
-        net = build_mlp(4, [5, 3], 2, seed=9, class_names=["Low", "High"])
-        net.input_bounds[:, 1] = [2.0, 3.5, 1.0, 10.0]
-        net.layers[1].knowledge_mask[0, 2] = True
-        new, old = tmp_path / "v3.npz", tmp_path / "v2.npz"
-        save_network(net, new)
-        # a version-2 file is a version-3 file plus one all-False frozen{i}.npy per layer
-        with zipfile.ZipFile(new) as src, zipfile.ZipFile(old, "w") as dst:
-            assert json.loads(src.read("meta.json"))["version"] == 3
-            assert not [name for name in src.namelist() if name.startswith("frozen")]
-            for info in src.infolist():
-                if info.filename == "meta.json":
-                    dst.writestr(info, json.dumps({**json.loads(src.read(info)), "version": 2}))
-                else:
-                    dst.writestr(info, src.read(info))
-            for i, layer in enumerate(net.layers):
-                buf = io.BytesIO()
-                np.lib.format.write_array(buf, np.zeros_like(layer.weights, dtype=bool))
-                dst.writestr(f"frozen{i}.npy", buf.getvalue())
-        loaded = load_network(old)
-        for a, b in zip(net.layers, loaded.layers):
-            assert a.weights.tobytes() == b.weights.tobytes()
-            assert a.biases.tobytes() == b.biases.tobytes()
-            assert a.knowledge_mask.tobytes() == b.knowledge_mask.tobytes()
-        assert loaded.input_bounds.tobytes() == net.input_bounds.tobytes()
+    def test_version_4_written_with_rule_text(self, tmp_path):
+        rules = parse_rules("C :- A, not B.\n")
+        plain = build_mlp(4, [5, 3], 2, seed=9, class_names=["Low", "High"])
+        plain.input_bounds[:, 1] = [2.0, 3.5, 1.0, 10.0]
         x = np.random.default_rng(9).uniform(0.0, 4.0, size=(20, 4))
-        assert predict_proba(loaded, x).tobytes() == predict_proba(net, x).tobytes()
+        for net in (plain, replace(plain, rules=rules)):
+            save_network(net, tmp_path / "model.npz")
+            with zipfile.ZipFile(tmp_path / "model.npz") as zf:
+                meta = json.loads(zf.read("meta.json"))
+                names = sorted(zf.namelist())
+            assert meta["version"] == 4
+            assert meta["rules"] == (None if net.rules is None else format_rules(rules))
+            assert names == ["b0.npy", "b1.npy", "b2.npy", "bounds.npy", "meta.json", "w0.npy", "w1.npy", "w2.npy"]
+            loaded = load_network(tmp_path / "model.npz")
+            assert loaded.rules == net.rules
+            assert predict_proba(loaded, x).tobytes() == predict_proba(net, x).tobytes()
+
+    def test_rule_set_that_does_not_parse_back_is_not_written(self, tmp_path):
+        rewritten = rewrite_disjuncts(parse_rules("C :- A.\nC :- B.\n"))
+        net = replace(build_mlp(2, [3], 2, seed=0), rules=rewritten)
+        with pytest.raises(ValueError, match="reserved generated-name suffix"):
+            save_network(net, tmp_path / "model.npz")
+        assert not (tmp_path / "model.npz").exists()
 
     def test_model_file_bytes_reproducible(self, tmp_path):
         net = build_mlp(3, [4], 2, seed=1)
