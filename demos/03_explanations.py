@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from hornnet import parse_rules
 from hornnet.datakit import SynthConfig, feature_bounds, generate_synthetic
-from hornnet.explain import format_misprediction_table, global_explain, misprediction_report
+from hornnet.explain import format_misprediction_table, global_explain
 from hornnet.kbann import CompileConfig, compile_rules, extract_rules, format_extracted_rules
 from hornnet.tensornet import TrainConfig, build_mlp, predictor, train
 
@@ -37,9 +37,8 @@ print("\nmean |importance| per feature (plain classifier):")
 for name, value in sorted(global_exp.mean_abs.items(), key=lambda kv: -kv[1]):
     print(f"  {name:<14} {value:.4f}")
 
-records = misprediction_report(global_exp.mispredicted)
-print(f"\n{len(records)} mispredicted test rows:")
-print(format_misprediction_table(records))
+print(f"\n{len(global_exp.mispredicted)} mispredicted test rows:")
+print(format_misprediction_table(global_exp.mispredicted))
 
 print("training the knowledge-compiled model and extracting its rules...")
 net = compile_rules(rules, train_data.feature_names, ("Low", "High"), CompileConfig(seed=3))

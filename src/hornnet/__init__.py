@@ -61,7 +61,6 @@ from .explain import (  # noqa: F401
     GlobalExplanation,
     global_explain,
     lime_explain,
-    misprediction_report,
 )
 from .evalharness import (  # noqa: F401
     ExperimentReport,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datakit import Dataset, feature_bounds, scale
-from .tensornet import TrainConfig, _forward_full, build_network, forward, train
+from .tensornet import TrainConfig, _final_activations, build_network, train
 
 __all__ = [
     "SmoteConfig",
@@ -197,9 +197,9 @@ def balance_with_autoencoder(data: Dataset, seed: int = 0) -> Dataset:
     net = build_network(data.n_features, specs, seed=0)
     net, _ = train(net, (scaled, scaled), TrainConfig(loss="mean_squared_error"))
     bottleneck = len(AUTOENCODER_WIDTHS) // 2
-    codes = forward(net, scaled[data.labels == minority])[bottleneck]
+    codes = _final_activations(net.layers[: bottleneck + 1], scaled[data.labels == minority])
     noise = np.random.default_rng(seed).standard_normal((n_new, codes.shape[1]))
-    _, acts = _forward_full(net, codes.mean(axis=0) + codes.std(axis=0) * noise, start=bottleneck + 1)
-    sampled = np.clip(acts[-1], scaled.min(axis=0), scaled.max(axis=0))
+    decoded = _final_activations(net.layers[bottleneck + 1 :], codes.mean(axis=0) + codes.std(axis=0) * noise)
+    sampled = np.clip(decoded, scaled.min(axis=0), scaled.max(axis=0))
     lo, hi = bounds[:, 0], bounds[:, 1]
     return _append_rows(data, sampled * (hi - lo) + lo, minority, "autoencoder")

@@ -300,7 +300,6 @@ def _cmd_explain(args, out: Path) -> tuple[list[Path], list[Path]]:
 
     predict_fn = tensornet.predictor(net)
     global_exp = explain.global_explain(predict_fn, data, n_samples=args.samples, seed=args.seed)
-    records = explain.misprediction_report(global_exp.mispredicted)
     _write_json(
         out / "global_explanation.json",
         {
@@ -310,21 +309,21 @@ def _cmd_explain(args, out: Path) -> tuple[list[Path], list[Path]]:
         },
     )
     (out / "mispredictions.txt").write_text(
-        explain.format_misprediction_table(records), encoding="utf-8"
+        explain.format_misprediction_table(global_exp.mispredicted), encoding="utf-8"
     )
     structured = [
         {
-            "instance_id": rec.explanation.instance_id,
-            "true_label": rec.explanation.true_label,
-            "predicted": rec.explanation.predicted,
-            "confidence": list(rec.explanation.confidence),
-            "supporting": [list(c) for c in rec.supporting],
-            "contradicting": [list(c) for c in rec.contradicting],
+            "instance_id": exp.instance_id,
+            "true_label": exp.true_label,
+            "predicted": exp.predicted,
+            "confidence": list(exp.confidence),
+            "supporting": [list(c) for c in exp.supporting],
+            "contradicting": [list(c) for c in exp.contradicting],
         }
-        for rec in records
+        for exp in global_exp.mispredicted
     ]
     _write_json(out / "mispredictions.json", structured)
-    print(f"{len(records)} mispredicted rows explained -> {out}")
+    print(f"{len(global_exp.mispredicted)} mispredicted rows explained -> {out}")
     outputs = [out / name for name in ("global_explanation.json", "mispredictions.txt", "mispredictions.json")]
     return [Path(args.model_path), Path(args.data)], outputs
 

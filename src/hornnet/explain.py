@@ -14,10 +14,8 @@ __all__ = [
     "FeatureStats",
     "Explanation",
     "GlobalExplanation",
-    "MispredictionRecord",
     "lime_explain",
     "global_explain",
-    "misprediction_report",
     "format_misprediction_table",
 ]
 
@@ -51,6 +49,17 @@ class Explanation:
     confidence: tuple[float, ...]  # per-class probabilities, class order
     contributions: list[tuple[str, float, float]]  # (feature, value, importance), |importance| desc
 
+    @property
+    def supporting(self) -> list[tuple[str, float, float]]:
+        """The contributions whose nonzero importance agrees in sign with the predicted
+        class; importances explain the positive-class probability."""
+        return [c for c in self.contributions if c[2] != 0 and (c[2] > 0) == (self.predicted == CLASSES[1])]
+
+    @property
+    def contradicting(self) -> list[tuple[str, float, float]]:
+        """The contributions whose nonzero importance disagrees in sign with the predicted class."""
+        return [c for c in self.contributions if c[2] != 0 and (c[2] > 0) != (self.predicted == CLASSES[1])]
+
 
 @dataclass
 class GlobalExplanation:
@@ -58,13 +67,6 @@ class GlobalExplanation:
     mean_abs: dict[str, float]
     n_instances: int
     mispredicted: list[Explanation]  # rows whose prediction is not their label, in row order
-
-
-@dataclass
-class MispredictionRecord:
-    explanation: Explanation
-    supporting: list[tuple[str, float, float]]
-    contradicting: list[tuple[str, float, float]]
 
 
 def _weighted_linear_fit(design, target, weights):
@@ -173,34 +175,17 @@ def global_explain(predict_fn, data: Dataset, n_samples: int = 1000, seed=0) -> 
     )
 
 
-def misprediction_report(mispredicted: list[Explanation]) -> list[MispredictionRecord]:
-    """Split each explanation of a misclassified row into the features
-    supporting the (wrong) prediction — importance sign agreeing with the
-    predicted class — and those contradicting it."""
-    records = []
-    for exp in mispredicted:
-        # importances explain the positive-class probability
-        wants_positive = exp.predicted == CLASSES[1]
-        supporting = [c for c in exp.contributions if (c[2] > 0) == wants_positive and c[2] != 0]
-        contradicting = [c for c in exp.contributions if (c[2] > 0) != wants_positive and c[2] != 0]
-        records.append(
-            MispredictionRecord(explanation=exp, supporting=supporting, contradicting=contradicting)
-        )
-    return records
-
-
-def format_misprediction_table(records: list[MispredictionRecord]) -> str:
-    """Flat text table: true value, prediction, confidence pair, and the two
-    strongest supporting and contradicting features."""
+def format_misprediction_table(mispredicted: list[Explanation]) -> str:
+    """Flat text table of explanations: true value, prediction, confidence pair,
+    and the two strongest supporting and contradicting features."""
     lines = ["true,predicted,confidence,supporting,contradicting"]
-    for rec in records:
-        exp = rec.explanation
+    for exp in mispredicted:
         conf = "(" + ", ".join(f"{p:.3f}" for p in exp.confidence) + ")"
 
         def fmt(entries):
             return "; ".join(f"{name}=(Val={value:g}, Imp={imp:.3f})" for name, value, imp in entries[:2])
 
         lines.append(
-            f"{exp.true_label},{exp.predicted},{conf},{fmt(rec.supporting)},{fmt(rec.contradicting)}"
+            f"{exp.true_label},{exp.predicted},{conf},{fmt(exp.supporting)},{fmt(exp.contradicting)}"
         )
     return "\n".join(lines) + "\n"

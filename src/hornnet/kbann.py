@@ -397,7 +397,7 @@ def extract_rules(net: Network, train_data: Dataset, group_tolerance: float = 0.
         values = (margins > 0).astype(np.float64)
 
     # the network's own classes, from the rows already scaled for the replay
-    net_out = _final_activations(net, scaled)
+    net_out = _final_activations(net.layers, scaled)
     fidelity = float((margins.argmax(axis=1) == net_out.argmax(axis=1)).mean())
     return ExtractedRuleSet(rules=rules, fidelity=fidelity)
 

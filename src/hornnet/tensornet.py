@@ -136,10 +136,10 @@ class Layer:
 class Network:
     """Dense layers, their labels, and the per-input (lo, hi) bounds that `datakit.scale`
     maps raw inputs with, once per call of `train` and of each prediction entry point
-    (`_forward_full`, `_final_activations`, `_backprop` and `total_loss` take scaled
+    (`total_loss` and the private passes, which run over a list of layers, take scaled
     inputs). The default (0, 1) is bit-exact identity. Predictions and validation run
-    `_final_activations`, which keeps one layer's result at a time; training, `forward`
-    and the autoencoder's decode run `_forward_full`, which keeps every layer's.
+    `_final_activations`, which keeps one layer's result at a time; training and
+    `forward` run `_forward_full`, which keeps every layer's.
     `rules` is the rule set a knowledge model was compiled from, None for a plain net."""
 
     layers: list[Layer]
@@ -228,21 +228,20 @@ def build_mlp(input_dim, hidden, output_dim, seed, input_names=None, class_names
 # --------------------------------------------------------------------------
 
 
-def _forward_full(net: Network, x: np.ndarray, start: int = 0, out=None, terms=None):
-    """Pre-activations and activations of layers `start` onward; `x` is the
-    input to layer `start`.
+def _forward_full(layers, x: np.ndarray, out=None, terms=None):
+    """Pre-activations and activations of each of `layers`, a network's layers
+    or a run of them; `x` is the input to the first.
 
-    `net` is one network, with `x` of shape (rows, in), or a stack of K
-    same-shape networks whose layers hold (K, out, in) weights and (K, out)
-    biases, with `x` of shape (K, rows, in); each member's results equal its
-    own 2-D call bit for bit.
-    `out`, if given, holds one (z, a) buffer pair per layer from `start` on,
-    each shaped like that layer's result; the results are written there.
+    `layers` are one network's, with `x` of shape (rows, in), or a stack of K
+    same-shape networks' with (K, out, in) weights and (K, out) biases, with
+    `x` of shape (K, rows, in); each member's results equal its own 2-D call
+    bit for bit.
+    `out`, if given, holds one (z, a) buffer pair per layer, each shaped like
+    that layer's result; the results are written there.
     `terms`, if given, receives a softmax final layer's `_softmax` terms.
     """
     zs, acts = [], []
     a = x
-    layers = net.layers[start:]
     for layer, (z_buf, a_buf) in zip(layers, out or repeat((None, None))):
         z, a = _layer_step(layer, a, z_buf, a_buf, terms if layer is layers[-1] else None)
         zs.append(z)
@@ -258,12 +257,12 @@ def _layer_step(layer, a, z_out=None, a_out=None, terms=None):
     return z, _activate(z, layer.activation, a_out, terms)
 
 
-def _final_activations(net: Network, x: np.ndarray, out=None) -> np.ndarray:
-    """`_forward_full(net, x)[1][-1]`, bit for bit, holding one layer's result
+def _final_activations(layers, x: np.ndarray, out=None) -> np.ndarray:
+    """`_forward_full(layers, x)[1][-1]`, bit for bit, holding one layer's result
     at a time: each layer's activations overwrite its pre-activations. `out`,
     if given, holds one buffer per layer shaped like its result."""
     a = x
-    for layer, buf in zip(net.layers, out or repeat(None)):
+    for layer, buf in zip(layers, out or repeat(None)):
         buf = np.empty(a.shape[:-1] + layer.biases.shape[-1:]) if buf is None else buf
         _, a = _layer_step(layer, a, buf, buf)
     return a
@@ -282,14 +281,14 @@ def _as_batch(net: Network, x):
 def forward(net: Network, x) -> list[np.ndarray]:
     """Activations of every layer for one raw sample (1-D) or a raw batch (2-D)."""
     batch, single = _as_batch(net, x)
-    _, acts = _forward_full(net, scale(batch, net.input_bounds))
+    _, acts = _forward_full(net.layers, scale(batch, net.input_bounds))
     return [a[0] if single else a for a in acts]
 
 
 def predict_proba(net: Network, x) -> np.ndarray:
     """`forward(net, x)[-1]`, bit for bit, holding one layer's result at a time."""
     batch, single = _as_batch(net, x)
-    probs = _final_activations(net, scale(batch, net.input_bounds))
+    probs = _final_activations(net.layers, scale(batch, net.input_bounds))
     return probs[0] if single else probs
 
 
@@ -315,7 +314,7 @@ def predictor(net: Network):
             inputs[:] = [np.empty((rows, net.input_dim)), np.tile(lo, (rows, 1)), np.tile(divisor, (rows, 1))]
             buffers[:] = [np.empty((rows, layer.out_units)) for layer in net.layers]
         scaled = _rescale(batch, inputs[1][:rows], inputs[2][:rows], constant, out=inputs[0][:rows])
-        probs = _final_activations(net, scaled, out=[buf[:rows] for buf in buffers])
+        probs = _final_activations(net.layers, scaled, out=[buf[:rows] for buf in buffers])
         return (probs[0] if single else probs).copy()
 
     return predict
@@ -326,9 +325,9 @@ def predict_labels(net: Network, x) -> np.ndarray:
     return np.asarray(net.output_names, dtype=object)[probs.argmax(axis=1)]
 
 
-def _loss(net: Network, zs, acts, targets, config, reg_scale, magnitudes=None, terms=None):
-    """Mean data loss of one forward pass plus the penalty scaled by `reg_scale`:
-    a float for one network; for a stack, one value per member, with
+def _loss(layers, zs, acts, targets, config, reg_scale, magnitudes=None, terms=None):
+    """Mean data loss of one forward pass over `layers` plus the penalty scaled by
+    `reg_scale`: a float for one network; for a stack, one value per member, with
     `reg_scale` one value per member. `magnitudes` is passed to `_penalty`, and
     `terms`, the softmax terms the forward pass kept, to `_logsumexp`."""
     rows = zs[-1].shape[-2]
@@ -338,7 +337,7 @@ def _loss(net: Network, zs, acts, targets, config, reg_scale, magnitudes=None, t
     else:
         diff = acts[-1] - targets
         data = (diff * diff).sum(axis=(-2, -1)) / rows
-    loss = data + _penalty(net, config.l1, config.l2, magnitudes) * reg_scale
+    loss = data + _penalty(layers, config.l1, config.l2, magnitudes) * reg_scale
     return float(loss) if np.ndim(loss) == 0 else loss
 
 
@@ -352,11 +351,11 @@ def _logsumexp(z, terms=None):
     return m + np.log(s)
 
 
-def _penalty(net: Network, l1, l2, magnitudes=None):
-    """Summed L1 and L2 weight penalty, per layer: one value per network of a
+def _penalty(layers, l1, l2, magnitudes=None):
+    """Summed L1 and L2 weight penalty of `layers`: one value per network of a
     stack. `magnitudes`, if given, holds each layer's |w| and w * w."""
     if magnitudes is None:
-        magnitudes = [(np.abs(layer.weights), layer.weights * layer.weights) for layer in net.layers]
+        magnitudes = [(np.abs(layer.weights), layer.weights * layer.weights) for layer in layers]
     total = 0.0
     for abs_w, square_w in magnitudes:
         # np.add.reduce is ndarray.sum without its Python wrapper
@@ -383,8 +382,8 @@ def total_loss(net: Network, x, targets, config, reg_scale: float | None = None)
     """
     if reg_scale is None:
         reg_scale = 1.0 / x.shape[0]
-    zs, acts = _forward_full(net, x)
-    return _loss(net, zs, acts, targets, config, reg_scale)
+    zs, acts = _forward_full(net.layers, x)
+    return _loss(net.layers, zs, acts, targets, config, reg_scale)
 
 
 # --------------------------------------------------------------------------
@@ -405,10 +404,10 @@ def _times_activation_grad(delta, layer: Layer, a):
         raise TrainingError("softmax is only supported as the final layer with cross-entropy loss")
 
 
-def _backprop(net: Network, x, targets, config, reg_scale=None, cache=None, out=None, penalty=None):
-    """Gradients of total_loss wrt every weight and bias, for one network or,
-    as in `_forward_full`, a stack (then `reg_scale` holds one value per member);
-    `cache` is the caller's `_forward_full(net, x)` result, if it has one.
+def _backprop(layers, x, targets, config, reg_scale=None, cache=None, out=None, penalty=None):
+    """Gradients of total_loss wrt every weight and bias of `layers`, one network's
+    or, as in `_forward_full`, a stack's (then `reg_scale` holds one value per
+    member); `cache` is the caller's `_forward_full(layers, x)` result, if it has one.
 
     `out`, if given, holds per layer three buffers shaped like its weight
     gradient, bias gradient and delta (rows of `x` by layer width); the
@@ -419,13 +418,13 @@ def _backprop(net: Network, x, targets, config, reg_scale=None, cache=None, out=
     batch = x.shape[-2]
     if reg_scale is None:
         reg_scale = 1.0 / batch
-    _, acts = cache if cache is not None else _forward_full(net, x)
-    n = len(net.layers)
+    _, acts = cache if cache is not None else _forward_full(layers, x)
+    n = len(layers)
     if penalty is None:
         reg_scale = np.expand_dims(reg_scale, (-2, -1))
-        penalty = [_penalty_grad(layer.weights, config, reg_scale) for layer in net.layers]
+        penalty = [_penalty_grad(layer.weights, config, reg_scale) for layer in layers]
     out = out or [(None,) * 3] * n
-    last = net.layers[-1]
+    last = layers[-1]
     delta = np.subtract(acts[-1], targets, out=out[-1][2])
     if config.loss == "cross_entropy":
         if last.activation != "softmax":
@@ -449,8 +448,8 @@ def _backprop(net: Network, x, targets, config, reg_scale=None, cache=None, out=
         flat += penalty[i].reshape(flat.shape)
         grads_b[i] = delta.sum(axis=-2, out=b_buf)
         if i > 0:
-            delta = np.matmul(delta, net.layers[i].weights, out=out[i - 1][2])
-            _times_activation_grad(delta, net.layers[i - 1], acts[i - 1])
+            delta = np.matmul(delta, layers[i].weights, out=out[i - 1][2])
+            _times_activation_grad(delta, layers[i - 1], acts[i - 1])
     return grads_w, grads_b
 
 
@@ -575,21 +574,16 @@ def _share_parameters(net: Network):
 
 
 class _LayerView(NamedTuple):
+    """A layer whose arrays view a parameter array, with a leading member axis for a stack."""
+
     weights: np.ndarray
     biases: np.ndarray
     activation: str
 
 
-class _Views(NamedTuple):
-    """Stands in for a Network: layers whose arrays view a parameter array,
-    with a leading member axis for a stack."""
-
-    layers: list[_LayerView]
-
-
-def _validation_score(net: Network, x, targets, loss) -> float:
+def _validation_score(layers, x, targets, loss) -> float:
     """Accuracy for cross-entropy, negated MSE otherwise."""
-    out = _final_activations(net, x)
+    out = _final_activations(layers, x)
     if loss == "cross_entropy":
         score = (out.argmax(axis=-1) == targets.argmax(axis=-1)).mean(axis=-1)
     else:
@@ -737,8 +731,8 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
     def leading(k, n, which):
         return [bufs[which][: k * n].reshape(k, n, -1) for bufs in buffers]
 
-    def views(at) -> _Views:
-        return _Views([_LayerView(w[at], b[at], layer.activation) for (w, b), layer in zip(weights, first.layers)])
+    def views(at) -> list[_LayerView]:
+        return [_LayerView(w[at], b[at], layer.activation) for (w, b), layer in zip(weights, first.layers)]
 
     @cache
     def plan(lo, hi, n):
@@ -759,20 +753,22 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
         stack[:] = [stack[p] for p in perm]
 
     def step(lo, hi, n, c1, c2):
-        net, forward_out, magnitudes, backprop_out, penalty, (p, first_moment, second_moment, g, sp, reg) = plan(lo, hi, n)
+        layers, forward_out, magnitudes, backprop_out, penalty, (p, first_moment, second_moment, g, sp, reg) = plan(lo, hi, n)
         group = stack[lo:hi]
         idx = np.array([m.order[m.pos : m.pos + n] for m in group])
         xb, tb = np.take(x, idx, axis=0), np.take(targets, idx, axis=0)
         terms = []
-        zs_acts = _forward_full(net, xb, out=forward_out, terms=terms)
-        np.abs(p, out=sp)
-        np.multiply(p, p, out=g)
-        loss = _loss(net, *zs_acts, tb, config, reg[:, 0], magnitudes, terms)
+        # a diverging step overflows here; the check below is its one report
+        with np.errstate(over="ignore", invalid="ignore"):
+            zs_acts = _forward_full(layers, xb, out=forward_out, terms=terms)
+            np.abs(p, out=sp)
+            np.multiply(p, p, out=g)
+            loss = _loss(layers, *zs_acts, tb, config, reg[:, 0], magnitudes, terms)
         if not np.isfinite(loss).all():
             m = group[int(np.argmin(np.isfinite(loss)))]
             raise TrainingError(f"non-finite loss at epoch {len(m.loss_history) + 1}, batch {m.pos // config.batch_size}")
         _penalty_grad(p, config, reg, sp, g)
-        _backprop(net, xb, tb, config, reg[:, 0], zs_acts, backprop_out, penalty)
+        _backprop(layers, xb, tb, config, reg[:, 0], zs_acts, backprop_out, penalty)
         for m, value in zip(group, loss.tolist()):
             m.epoch_loss += value * n
             m.pos += n
@@ -800,7 +796,8 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
             if done:
                 score = None
                 if len(m.val_rows):
-                    score = _validation_score(views(r), x[m.val_rows], targets[m.val_rows], config.loss)
+                    with np.errstate(over="ignore", invalid="ignore"):  # a diverged member scores -inf or nan: no improvement
+                        score = _validation_score(views(r), x[m.val_rows], targets[m.val_rows], config.loss)
                 snapshot, stop = m.end_epoch(score, config)
                 if snapshot:
                     best[r] = params[r]
@@ -836,7 +833,7 @@ def numerical_gradient_check(net: Network, x, targets, config=None, epsilon: flo
     targets = np.asarray(targets, dtype=np.float64)
     model = net.copy()
     params = _share_parameters(model)
-    analytic = _flat(zip(*_backprop(model, x, targets, config)))
+    analytic = _flat(zip(*_backprop(model.layers, x, targets, config)))
 
     at_kink = _flat((np.abs(layer.weights) <= epsilon, np.zeros(layer.out_units, dtype=bool)) for layer in model.layers)
     at_kink &= config.l1 > 0

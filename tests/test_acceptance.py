@@ -95,7 +95,7 @@ def _random_gradient_case(idx, rng):
             if loss == "cross_entropy"
             else rng.normal(size=(8, d_out))
         )
-        zs, _ = tensornet._forward_full(net, x)
+        zs, _ = tensornet._forward_full(net.layers, x)
         relu_margin = min(
             (np.abs(z).min() for z, l in zip(zs, net.layers) if l.activation == "relu"),
             default=1.0,

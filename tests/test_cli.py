@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import zipfile
 from dataclasses import replace
@@ -145,6 +146,17 @@ class TestTrain:
         capsys.readouterr()
         assert main(["train", "--data", str(path), "--out", str(tmp_path / "t")]) == 1
         assert capsys.readouterr().err == f"hornnet: error: {path}: non-finite cell nan at row 2, column 1\n"
+
+    @pytest.mark.parametrize("model", ["baseline", "nsai"])
+    @pytest.mark.parametrize("data", ["synth", "fixture"])
+    def test_diverging_training_is_one_error_line(self, tmp_path, synth_dir, rules_file, capsys, model, data):
+        # a step size of 1e308 overflows the forward pass; the fixture's one-batch
+        # epochs first overflow the validation pass, then the next epoch's step
+        path, where = (synth_dir / "train.csv", "epoch 1, batch 1") if data == "synth" else (FIXTURE, "epoch 2, batch 0")
+        argv = ["train", "--data", str(path), "--model", model, "--rules", str(rules_file), "--learning-rate", "1e308"]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "m")]) == 1
+        assert capsys.readouterr().err == f"hornnet: error: non-finite loss at {where}\n"
 
     def test_manifest_rerun_reproduces_outputs(self, tmp_path, synth_dir, rules_file):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -580,6 +592,12 @@ class TestFlagResolution:
         assert "expected a positive integer, got 'abc'" in err
         assert "_positive_int" not in err
 
+    def test_version_and_help_exit_zero(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == "hornnet 0.1.0\n"
+        assert main(["train", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: hornnet train [-h] --data DATA")
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         code = main(["evaluate", "--model", str(tmp_path / "missing.npz"), "--data", str(FIXTURE), "--out", str(tmp_path)])
         assert code == 1
@@ -653,8 +671,28 @@ class TestFlagResolution:
         assert err.startswith(f"hornnet: error: {cfg}: config file is not valid JSON: ")
         assert err.count("\n") == 1
 
+    # meta.json edits of a trained baseline (three layers), each with the message it ends in
+    META_EDITS = {
+        "version_1": ({"version": 1}, "format version 1 is not supported; retrain the model"),
+        "version_2": ({"version": 2}, "format version 2 is not supported; retrain the model"),
+        "version_3": ({"version": 3}, "format version 3 is not supported; retrain the model"),
+        "bad_rules": ({"rules": "C :- ."}, "unreadable model file: line 1, column 6: "),
+        "not_hornnet": ({"format": "other"}, "unreadable model file: not a hornnet model file"),
+        "bad_activation": ({"activations": ["tanh"] * 3}, "unreadable model file: unknown activation 'tanh'"),
+        "no_layers": ({"n_layers": 0}, "unreadable model file: a network needs at least one layer"),
+        "input_names": ({"input_names": []}, "unreadable model file: input_names length must match first layer width"),
+        "unit_label_lists": ({"unit_labels": []}, "unreadable model file: unit_labels must have one list per layer"),
+        "unit_label_count": ({"unit_labels": [[]] * 3}, "unreadable model file: unit label count must match layer width"),
+        "output_names": ({"output_names": []}, "unreadable model file: output_names length must match final layer width"),
+    }
+    # array members replaced, each with the message it ends in
+    ARRAY_EDITS = {
+        "one_d_weights": ("w0.npy", np.ravel, "unreadable model file: weights must be 2-D (out_units, in_units)"),
+        "short_biases": ("b0.npy", lambda b: b[1:], "unreadable model file: bias length must equal out_units"),
+    }
+
     @pytest.mark.parametrize(
-        "damage", ["not_zip", "truncated", "member_missing", "version_1", "version_2", "version_3", "bad_rules", "nan_weight"]
+        "damage", ["not_zip", "truncated", "member_missing", "nan_weight", *META_EDITS, *ARRAY_EDITS]
     )
     def test_bad_model_file_is_runtime_error(self, tmp_path, capsys, damage):
         good = tmp_path / "good"
@@ -674,8 +712,18 @@ class TestFlagResolution:
             net = tensornet.load_network(good / "model.npz")
             net.layers[0].weights[0, 0] = np.nan
             tensornet.save_network(net, bad)
-        else:  # an older format version (version 1 had no input bounds), or rule text that does not parse
-            edit = {"rules": "C :- ."} if damage == "bad_rules" else {"version": int(damage[-1])}
+        elif damage in self.ARRAY_EDITS:
+            member, change, _ = self.ARRAY_EDITS[damage]
+            with zipfile.ZipFile(good / "model.npz") as src, zipfile.ZipFile(bad, "w") as dst:
+                for info in src.infolist():
+                    if info.filename == member:
+                        buf = io.BytesIO()
+                        np.lib.format.write_array(buf, change(np.lib.format.read_array(io.BytesIO(src.read(info)))))
+                        dst.writestr(info, buf.getvalue())
+                    else:
+                        dst.writestr(info, src.read(info))
+        else:  # an older format version (version 1 had no input bounds), or other meta.json damage
+            edit, _ = self.META_EDITS[damage]
             with zipfile.ZipFile(good / "model.npz") as src, zipfile.ZipFile(bad, "w") as dst:
                 for info in src.infolist():
                     if info.filename == "meta.json":
@@ -687,7 +735,8 @@ class TestFlagResolution:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"hornnet: error: {bad}: ") and err.count("\n") == 1
-        if damage.startswith("version_"):
-            assert f"format version {damage[-1]} is not supported; retrain the model" in err
-        assert damage != "bad_rules" or "unreadable model file: line 1, column 6: " in err
+        if damage in self.META_EDITS:
+            assert self.META_EDITS[damage][1] in err
+        if damage in self.ARRAY_EDITS:
+            assert err == f"hornnet: error: {bad}: {self.ARRAY_EDITS[damage][2]}\n"
         assert damage != "nan_weight" or err == f"hornnet: error: {bad}: unreadable model file: weights and biases must be finite\n"

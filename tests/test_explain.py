@@ -3,11 +3,11 @@ import pytest
 
 from hornnet.datakit import Dataset
 from hornnet.explain import (
+    Explanation,
     FeatureStats,
     format_misprediction_table,
     global_explain,
     lime_explain,
-    misprediction_report,
 )
 
 
@@ -144,22 +144,22 @@ class TestMispredictions:
         model = logistic_model([5.0, 0.0])
         labels = np.where(model(rows)[:, 1] > 0.5, "High", "Low")
         data = self._dataset(rows, labels)
-        records = misprediction_report(global_explain(model, data, n_samples=200, seed=0).mispredicted)
-        assert records == []
+        mispredicted = global_explain(model, data, n_samples=200, seed=0).mispredicted
+        assert mispredicted == []
 
     def test_supporting_features_agree_with_prediction(self):
         rows = np.array([[1.0, 0.0], [0.9, 0.1]])
         labels = ["Low", "Low"]  # model will confidently say High
         model = logistic_model([6.0, 0.5])
         data = self._dataset(rows, labels)
-        records = misprediction_report(global_explain(model, data, n_samples=400, seed=1).mispredicted)
-        assert len(records) == 2
-        for rec in records:
-            assert rec.explanation.predicted == "High"
-            assert rec.explanation.true_label == "Low"
-            assert all(imp > 0 for _n, _v, imp in rec.supporting)
-            assert all(imp < 0 for _n, _v, imp in rec.contradicting)
-            assert "f0" in {n for n, _v, _i in rec.supporting}
+        mispredicted = global_explain(model, data, n_samples=400, seed=1).mispredicted
+        assert len(mispredicted) == 2
+        for exp in mispredicted:
+            assert exp.predicted == "High"
+            assert exp.true_label == "Low"
+            assert all(imp > 0 for _n, _v, imp in exp.supporting)
+            assert all(imp < 0 for _n, _v, imp in exp.contradicting)
+            assert "f0" in {n for n, _v, _i in exp.supporting}
 
     def test_report_count_matches_confusion_off_diagonal(self):
         from hornnet.evalharness import compute_metrics
@@ -172,17 +172,24 @@ class TestMispredictions:
         flip = rng.choice(40, size=9, replace=False)
         labels[flip] = np.where(labels[flip] == "High", "Low", "High")
         data = self._dataset(rows, labels)
-        records = misprediction_report(global_explain(model, data, n_samples=200, seed=3).mispredicted)
+        mispredicted = global_explain(model, data, n_samples=200, seed=3).mispredicted
         metrics = compute_metrics(preds, labels)
         off_diagonal = metrics.confusion.sum() - np.trace(metrics.confusion)
-        assert len(records) == off_diagonal == 9
+        assert len(mispredicted) == off_diagonal == 9
+
+    def test_split_drops_zero_importances_and_follows_the_predicted_class(self):
+        contributions = [("a", 1.0, 0.5), ("b", 2.0, -0.25), ("c", 3.0, 0.0)]
+        for predicted, supporting, contradicting in [("High", ["a"], ["b"]), ("Low", ["b"], ["a"])]:
+            exp = Explanation(0, predicted, None, (0.5, 0.5), contributions)
+            assert [c[0] for c in exp.supporting] == supporting
+            assert [c[0] for c in exp.contradicting] == contradicting
 
     def test_table_rendering(self):
         rows = np.array([[1.0, 0.0], [0.8, 0.3], [0.9, -0.2]])
         model = logistic_model([6.0, 0.5])
         data = self._dataset(rows, ["Low", "Low", "Low"])
-        records = misprediction_report(global_explain(model, data, n_samples=200, seed=4).mispredicted)
-        text = format_misprediction_table(records)
+        mispredicted = global_explain(model, data, n_samples=200, seed=4).mispredicted
+        text = format_misprediction_table(mispredicted)
         assert text.startswith("true,predicted,confidence,supporting,contradicting")
         assert "Low,High,(" in text
         assert "Imp=" in text

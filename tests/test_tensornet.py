@@ -126,7 +126,7 @@ class TestForward:
         x = np.random.default_rng(14).uniform(0, 1, (40, 4))
         acts = forward(net, x)
         for k in range(1, len(specs)):
-            _, rest = tensornet._forward_full(net, acts[k - 1], start=k)
+            _, rest = tensornet._forward_full(net.layers[k:], acts[k - 1])
             assert [a.tobytes() for a in rest] == [a.tobytes() for a in acts[k:]]
 
 
@@ -136,35 +136,34 @@ class TestForward:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 50, 4) if stacked else (50, 4))
         targets = np.eye(3)[rng.integers(3, size=x.shape[:-1])]
+        layers = net.layers
         if stacked:  # two members with the same weights
-            net = tensornet._Views([tensornet._LayerView(np.stack([l.weights] * 2), np.stack([l.biases] * 2), l.activation) for l in net.layers])
+            layers = [tensornet._LayerView(np.stack([l.weights] * 2), np.stack([l.biases] * 2), l.activation) for l in layers]
         config, reg = TrainConfig(l1=1e-3, l2=1e-3), np.full(2, 0.1) if stacked else 0.1
         terms = []
-        zs, acts = tensornet._forward_full(net, x, terms=terms)
+        zs, acts = tensornet._forward_full(layers, x, terms=terms)
         z = zs[-1]
         m = z.max(axis=-1, keepdims=True)
         s = np.exp(z - m).sum(axis=-1, keepdims=True)
         assert [t.tobytes() for t in terms] == [m.tobytes(), s.tobytes()]
         data = -(targets * (z - (m + np.log(s)))).sum(axis=(-2, -1)) / z.shape[-2]
-        want = np.asarray(data + tensornet._penalty(net, config.l1, config.l2) * reg).tobytes()
-        assert np.asarray(tensornet._loss(net, zs, acts, targets, config, reg, terms=terms)).tobytes() == want
-        assert np.asarray(tensornet._loss(net, zs, acts, targets, config, reg)).tobytes() == want
+        want = np.asarray(data + tensornet._penalty(layers, config.l1, config.l2) * reg).tobytes()
+        assert np.asarray(tensornet._loss(layers, zs, acts, targets, config, reg, terms=terms)).tobytes() == want
+        assert np.asarray(tensornet._loss(layers, zs, acts, targets, config, reg)).tobytes() == want
 
     def test_softmax_terms_come_from_the_final_layer_only(self):
         net = build_network(4, [(3, "softmax"), (2, "linear")], seed=6)
         terms = []
-        tensornet._forward_full(net, np.ones((5, 4)), terms=terms)
+        tensornet._forward_full(net.layers, np.ones((5, 4)), terms=terms)
         assert terms == []
 
 
-def stacked(nets) -> tensornet._Views:
-    """Same-shape networks as one stack, as `train_stack` views them."""
-    return tensornet._Views(
-        [
-            tensornet._LayerView(np.stack([l.weights for l in ls]), np.stack([l.biases for l in ls]), ls[0].activation)
-            for ls in zip(*(net.layers for net in nets))
-        ]
-    )
+def stacked(nets) -> list[tensornet._LayerView]:
+    """The layers of same-shape networks as one stack, as `train_stack` views them."""
+    return [
+        tensornet._LayerView(np.stack([l.weights for l in ls]), np.stack([l.biases for l in ls]), ls[0].activation)
+        for ls in zip(*(net.layers for net in nets))
+    ]
 
 
 class TestFinalActivations:
@@ -172,9 +171,9 @@ class TestFinalActivations:
     last activations of the full pass bit for bit."""
 
     @staticmethod
-    def assert_final_equals_full(net, x):
-        want = tensornet._forward_full(net, x)[1][-1]
-        got = tensornet._final_activations(net, x)
+    def assert_final_equals_full(layers, x):
+        want = tensornet._forward_full(layers, x)[1][-1]
+        got = tensornet._final_activations(layers, x)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", tensornet.ACTIVATIONS)
@@ -190,7 +189,7 @@ class TestFinalActivations:
             # inputs wide enough to reach both branches of the sigmoid
             x = rng.normal(scale=10.0, size=(3, 40, 5))
             for net, rows in zip(nets, x):
-                self.assert_final_equals_full(net, rows)
+                self.assert_final_equals_full(net.layers, rows)
             self.assert_final_equals_full(stacked(nets), x)
 
     def test_compiled_nets(self, ct_rules, game_features):
@@ -201,7 +200,7 @@ class TestFinalActivations:
             nets = [compile_rules(rules, features, CLASSES, CompileConfig(seed=10 * trial + k)) for k in range(3)]
             x = rng.uniform(-0.5, 1.5, size=(3, 64, len(features)))
             for net, rows in zip(nets, x):
-                self.assert_final_equals_full(net, rows)
+                self.assert_final_equals_full(net.layers, rows)
             self.assert_final_equals_full(stacked(nets), x)
 
     def test_predict_proba_holds_two_layers(self):
@@ -223,10 +222,10 @@ class TestFinalActivations:
         data, _ = generate_synthetic(SynthConfig(n_rows=10_000, n_test=10, seed=5))
         real, peaks = tensornet._validation_score, []
 
-        def traced(net, x, targets, loss):
+        def traced(layers, x, targets, loss):
             tracemalloc.start()
             try:
-                score = real(net, x, targets, loss)
+                score = real(layers, x, targets, loss)
                 peaks.append((x.shape[:-1], tracemalloc.get_traced_memory()[1]))
             finally:
                 tracemalloc.stop()
@@ -247,7 +246,7 @@ class TestInputBounds:
         net = build_mlp(3, [4], 2, seed=1)
         assert net.input_bounds.tolist() == [[0.0, 1.0]] * 3
         x = np.random.default_rng(1).normal(scale=5.0, size=(20, 3))
-        _, acts = tensornet._forward_full(net, x)
+        _, acts = tensornet._forward_full(net.layers, x)
         assert predict_proba(net, x).tobytes() == acts[-1].tobytes()
 
     def test_raw_inputs_scaled_with_the_bounds(self):
@@ -401,6 +400,15 @@ class TestTrain:
         fresh, _ = train(net, (x, targets), TrainConfig(seed=0, loss="mean_squared_error", patience=1, max_epochs=1, l1=0, l2=0))
         assert abs(final_pred - forward(fresh, x[:1])[-1][0, 0]) < 1e-12
 
+    def test_validation_split_falls_back_to_seeded_rows(self):
+        # 10 rows split 5/5 at fraction 0.1: one validation row, and each class rounds to none
+        labels = np.array(["Low"] * 5 + ["High"] * 5, dtype=object)
+        train_idx, val_idx = validation_split(10, 0.1, seed=3, labels=labels)
+        assert len(val_idx) == 1
+        assert sorted(train_idx.tolist() + val_idx.tolist()) == list(range(10))
+        again = validation_split(10, 0.1, seed=3, labels=labels)
+        assert [a.tolist() for a in again] == [train_idx.tolist(), val_idx.tolist()]
+
     def test_no_improving_epoch_returns_the_initial_weights(self, toy_dataset):
         # a step size of 1e308 drives the outputs to overflow, so the one
         # epoch's validation score is -inf and epoch 0 stays the best
@@ -506,7 +514,7 @@ def _reference_train(net, data, config):
             batch_idx = order[start : start + config.batch_size]
             xb, tb = x_tr[batch_idx], t_tr[batch_idx]
             epoch_loss += tensornet.total_loss(model, xb, tb, config, reg_scale) * len(batch_idx)
-            grads_w, grads_b = tensornet._backprop(model, xb, tb, config, reg_scale)
+            grads_w, grads_b = tensornet._backprop(model.layers, xb, tb, config, reg_scale)
             step += 1
             for i, layer in enumerate(model.layers):
                 gw, gb = grads_w[i], grads_b[i]
@@ -523,7 +531,7 @@ def _reference_train(net, data, config):
                 layer.biases -= config.learning_rate * upd_b
         loss_history.append(epoch_loss / len(x_tr))
         if len(val_idx):
-            score = tensornet._validation_score(model, x_val, t_val, config.loss)
+            score = tensornet._validation_score(model.layers, x_val, t_val, config.loss)
             score_history.append(score)
             if score > best_score:
                 best_score, bad_epochs = score, 0
@@ -718,7 +726,7 @@ class TestGradientCheck:
         # analytic gradient of (wx - y)^2 is 2x(wx - y)
         from hornnet.tensornet import _backprop
 
-        grads_w, _ = _backprop(net, x, y, config)
+        grads_w, _ = _backprop(net.layers, x, y, config)
         assert abs(grads_w[0][0, 0] - 2 * 2.0 * (0.7 * 2.0 - 1.0)) < 1e-12
 
     def test_zero_weights_skipped_under_l1(self):
