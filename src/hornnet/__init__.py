@@ -23,7 +23,6 @@ from .datakit import (  # noqa: F401
     kfold_split,
     load_csv,
     save_csv,
-    train_test_split,
 )
 from .tensornet import (  # noqa: F401
     Layer,

@@ -7,7 +7,8 @@ same inputs reproduces the outputs byte for byte.
 
 Flag resolution precedence: explicit flags > HORNNET_<FLAG> environment
 variables > --config JSON file (or the one HORNNET_CONFIG names) > built-in
-defaults. Exit codes: 0 success, 2 usage error, 1 runtime failure.
+defaults; required flags come from the command line only. Exit codes: 0
+success, 2 usage error, 1 runtime failure.
 """
 
 from __future__ import annotations

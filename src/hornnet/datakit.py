@@ -32,7 +32,6 @@ __all__ = [
     "scale",
     "one_hot",
     "subset",
-    "train_test_split",
     "kfold_split",
     "generate_synthetic",
 ]
@@ -137,11 +136,10 @@ def feature_bounds(data: Dataset) -> tuple[tuple[float, float], ...]:
     )
 
 
-def scale(rows, bounds, out=None) -> np.ndarray:
+def scale(rows, bounds) -> np.ndarray:
     """(x - lo) / (hi - lo) for each column of one row or a batch and its (lo, hi) in
-    `bounds`, into `out` if given. Values may leave [0, 1]; a constant feature (lo == hi)
-    maps to 0."""
-    return _rescale(rows, *_scaling(bounds), out=out)
+    `bounds`. Values may leave [0, 1]; a constant feature (lo == hi) maps to 0."""
+    return _rescale(rows, *_scaling(bounds))
 
 
 def _scaling(bounds):
@@ -382,14 +380,6 @@ def _stratified_mask(labels, fraction: float, rng) -> np.ndarray:
     return mask
 
 
-def train_test_split(data: Dataset, test_fraction: float = 0.2, seed: int = 0):
-    """Stratified split; returns (train, test)."""
-    if not 0 < test_fraction < 1:
-        raise DataError("test_fraction must be in (0, 1)")
-    mask = _stratified_mask(data.labels, test_fraction, np.random.default_rng(seed))
-    return subset(data, np.flatnonzero(~mask)), subset(data, np.flatnonzero(mask))
-
-
 def kfold_split(data: Dataset, k: int, seed: int = 0):
     """Stratified k-fold partitions: list of (train_indices, val_indices).
 
@@ -434,7 +424,8 @@ class SynthConfig:
     approximately describe the generative process. The spurious feature
     (`SPURIOUS_FEATURE`) is calibrated per realization (bisection on the
     label/noise mixing coefficient, after range clipping) to hit the requested
-    point-biserial correlation; train and test get different targets.
+    point-biserial correlation; train and test get different targets. A target
+    may be negative, or below what the noise alone gives (negative mixing).
     """
 
     n_rows: int = 427
@@ -485,9 +476,10 @@ def _calibrated_spurious(y01, stats, target_r, rng) -> np.ndarray:
             return 0.0
         return float(np.corrcoef(x, y01)[0, 1])
 
+    sign = 1.0 if achieved(0.0) <= target_r else -1.0  # the target's side of a = 0, the noise alone
     a_hi = std
     for _ in range(60):
-        if achieved(a_hi) >= target_r:
+        if sign * achieved(sign * a_hi) >= sign * target_r:
             break
         a_hi *= 2.0
     else:
@@ -495,11 +487,11 @@ def _calibrated_spurious(y01, stats, target_r, rng) -> np.ndarray:
     a_lo = 0.0
     for _ in range(80):
         mid = 0.5 * (a_lo + a_hi)
-        if achieved(mid) < target_r:
+        if sign * achieved(sign * mid) < sign * target_r:
             a_lo = mid
         else:
             a_hi = mid
-    return column(a_hi)
+    return column(sign * a_hi)
 
 
 def _generate_split(n, spurious_r, config: SynthConfig, rng) -> Dataset:

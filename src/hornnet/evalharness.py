@@ -23,6 +23,8 @@ __all__ = [
     "render_metrics_table",
     "render_correlation_table",
     "report_to_json",
+    "render_report_text",
+    "metrics_to_dict",
 ]
 
 BASELINE_HIDDEN = (50, 50)
@@ -38,8 +40,9 @@ class Metrics:
     classes: tuple[str, ...]
 
 
-def compute_metrics(predictions, truth, classes=None) -> Metrics:
-    """Accuracy, per-class recall/precision, and the confusion matrix.
+def compute_metrics(predictions, truth, classes=CLASSES) -> Metrics:
+    """Accuracy, per-class recall/precision, and the confusion matrix over
+    `classes`, in their order; a label outside them is a ValueError.
 
     Undefined ratios (empty row or column of the confusion matrix) are left
     out of the dicts rather than reported as zero.
@@ -53,8 +56,6 @@ def compute_metrics(predictions, truth, classes=None) -> Metrics:
     # one dict lookup per distinct label, then one count over (truth, prediction) codes
     names, inverse = np.unique(np.concatenate([truth, predictions]).astype(str), return_inverse=True)
     names = names.tolist()
-    if classes is None:
-        classes = CLASSES if set(names) <= set(CLASSES) else tuple(names)
     classes = tuple(classes)
     index = {c: i for i, c in enumerate(classes)}
     if unknown := [name for name in names if name not in index]:

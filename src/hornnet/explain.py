@@ -28,17 +28,16 @@ KERNEL_WIDTH_SCALE = 0.75  # `lime_explain`'s kernel width is this times sqrt(fe
 @dataclass
 class FeatureStats:
     names: tuple[str, ...]
-    means: np.ndarray
     stds: np.ndarray
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "FeatureStats":
-        """Per-feature means and stds of `data`; if every feature is constant
+        """Per-feature stds of `data`; if every feature is constant
         there is nothing to perturb, and that is a ValueError."""
         rows = data.rows
         if (rows == rows[:1]).all():
             raise ValueError(f"every feature is constant over the {data.n_rows} row(s); nothing to perturb")
-        return cls(names=tuple(data.feature_names), means=rows.mean(axis=0), stds=rows.std(axis=0))
+        return cls(names=tuple(data.feature_names), stds=rows.std(axis=0))
 
 
 @dataclass

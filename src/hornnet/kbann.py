@@ -266,7 +266,7 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
         layers.append(Layer(weights, biases, "softmax" if lvl == n_levels + 1 else "sigmoid"))
 
     unit_labels = [[unit.label for unit in units] for units in units_by_level[1:]]
-    return Network(layers, unit_labels, feature_names, classes, rules=given)
+    return Network(layers, unit_labels, feature_names, rules=given)
 
 
 # --------------------------------------------------------------------------

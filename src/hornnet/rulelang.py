@@ -106,7 +106,6 @@ class RuleSet:
         body_symbols = {lit.symbol for c in self.clauses for lit in c.body}
         self.inputs = frozenset(body_symbols - set(self.heads))
         self.roots = frozenset(set(self.heads) - body_symbols)
-        self.symbols = frozenset(self.heads) | self.inputs
 
         unknown = self.disjunctive_heads - set(self.heads)
         if unknown:

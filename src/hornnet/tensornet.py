@@ -145,7 +145,6 @@ class Network:
     layers: list[Layer]
     unit_labels: list[list[str]]
     input_names: list[str]
-    output_names: list[str]
     input_bounds: np.ndarray | None = None
     rules: RuleSet | None = None
 
@@ -168,8 +167,11 @@ class Network:
         for layer, labels in zip(self.layers, self.unit_labels):
             if len(labels) != layer.out_units:
                 raise ValueError("unit label count must match layer width")
-        if len(self.output_names) != self.layers[-1].out_units:
-            raise ValueError("output_names length must match final layer width")
+
+    @property
+    def output_names(self) -> list[str]:
+        """The class names: the last layer's unit labels."""
+        return self.unit_labels[-1]
 
     @property
     def input_dim(self) -> int:
@@ -183,12 +185,8 @@ class Network:
         return deepcopy(self)
 
 
-def _placeholder_names(n) -> list[str]:
-    return [f"x{j + 1}" for j in range(n)]
-
-
 def build_network(input_dim, layer_specs, seed, input_names=None, output_names=None) -> Network:
-    """Assemble a network from (width, activation) layer specs.
+    """Assemble a network from (width, activation) layer specs; `output_names` labels the last layer.
 
     Weights are seeded uniform in +-sqrt(6 / (fan_in + fan_out)); biases zero.
     """
@@ -205,9 +203,10 @@ def build_network(input_dim, layer_specs, seed, input_names=None, output_names=N
         layers.append(Layer(rng.uniform(-limit, limit, size=(width, fan_in)), np.zeros(width), activation))
         labels.append([f"u{i + 1}_{j + 1}" for j in range(width)])
         fan_in = width
-    input_names = list(input_names) if input_names else _placeholder_names(input_dim)
-    output_names = list(output_names) if output_names else list(labels[-1])
-    return Network(layers, labels, input_names, output_names)
+    if output_names:
+        labels[-1] = list(output_names)
+    input_names = list(input_names) if input_names else [f"x{j + 1}" for j in range(input_dim)]
+    return Network(layers, labels, input_names)
 
 
 def build_mlp(input_dim, hidden, output_dim, seed, input_names=None, class_names=None) -> Network:
@@ -217,10 +216,8 @@ def build_mlp(input_dim, hidden, output_dim, seed, input_names=None, class_names
     if output_dim < 2:
         raise ValueError("softmax output requires output_dim >= 2")
     specs = [(h, "relu") for h in hidden] + [(output_dim, "softmax")]
-    output_names = list(class_names) if class_names else [f"class{j}" for j in range(output_dim)]
-    net = build_network(input_dim, specs, seed, input_names=input_names, output_names=output_names)
-    net.unit_labels[-1] = list(output_names)
-    return net
+    output_names = class_names or [f"class{j}" for j in range(output_dim)]
+    return build_network(input_dim, specs, seed, input_names=input_names, output_names=output_names)
 
 
 # --------------------------------------------------------------------------
@@ -523,11 +520,9 @@ def validation_split(n, fraction, seed, labels=None):
 
 
 def _resolve_training_arrays(net: Network, data):
-    """A Dataset's columns matched by name, or by position for placeholder names it lacks."""
+    """A Dataset's columns matched by name to `net.input_names`, or an (x, targets) pair."""
     if isinstance(data, Dataset):
-        placeholders = net.input_names == _placeholder_names(net.input_dim)
-        if not placeholders or set(net.input_names) <= set(data.feature_names):
-            data = _match_columns(data, net.input_names, "data")
+        data = _match_columns(data, net.input_names, "data")
         x, targets, labels = data.rows, one_hot(data.labels, net.output_names), data.labels
     else:
         x, targets = data
@@ -661,9 +656,8 @@ def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport
     """Train a private copy of `net`; returns the best-validation-epoch weights.
 
     `data` is a Dataset, whose targets are its labels one-hot over
-    `net.output_names` and whose columns are read by name when it has one for
-    every input name (by position otherwise), or an (x, targets) pair; the
-    inputs are raw and are scaled once with `net.input_bounds`.
+    `net.output_names` and whose columns are read by name, or an
+    (x, targets) pair; the inputs are raw and are scaled once with `net.input_bounds`.
     Early stopping fires after `patience` epochs without validation-score
     improvement: accuracy for cross-entropy, negated MSE otherwise.
     """
@@ -905,7 +899,10 @@ def load_network(path) -> Network:
 
             layers = [Layer(arr(f"w{i}"), arr(f"b{i}"), meta["activations"][i]) for i in range(meta["n_layers"])]
             rules = None if meta["rules"] is None else parse_rules(meta["rules"])
-            return Network(layers, meta["unit_labels"], meta["input_names"], meta["output_names"], arr("bounds"), rules)
+            net = Network(layers, meta["unit_labels"], meta["input_names"], arr("bounds"), rules)
+            if meta["output_names"] != net.output_names:
+                raise ValueError(f"output_names {meta['output_names']} are not the output layer's labels {net.output_names}")
+            return net
     # zlib.error: members are written stored, but a file from elsewhere may be deflated
     except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: unreadable model file: {exc}") from None

@@ -231,7 +231,7 @@ def test_criterion_8_lime_sanity():
             p = 1.0 / (1.0 + np.exp(-z))
             return np.column_stack([1.0 - p, p])
 
-        stats = explain.FeatureStats(tuple(f"f{i}" for i in range(d)), np.zeros(d), stds)
+        stats = explain.FeatureStats(tuple(f"f{i}" for i in range(d)), stds)
         exp = explain.lime_explain(model, np.zeros(d), stats, n_samples=1000, seed=trial)
         surrogate_top3 = [name for name, _v, _i in exp.contributions[:3]]
         analytic = np.abs(coefs * stds)
@@ -244,7 +244,7 @@ def test_criterion_8_lime_sanity():
         x = np.atleast_2d(x)
         return np.full((x.shape[0], 2), 0.5)
 
-    stats = explain.FeatureStats(("a", "b", "c"), np.zeros(3), np.ones(3))
+    stats = explain.FeatureStats(("a", "b", "c"), np.ones(3))
     flat = explain.lime_explain(constant, np.zeros(3), stats, n_samples=1000, seed=99)
     constant_ok = all(abs(i) < 1e-3 for _n, _v, i in flat.contributions)
     _check(8, "surrogate importance ranking on linear-logistic models",

@@ -351,7 +351,8 @@ class TestScoringInputs:
     @pytest.mark.parametrize("command", ["evaluate", "explain", "extract"])
     def test_model_outputs_must_be_the_classes(self, tmp_path, synth_dir, nsai, capsys, command, outputs):
         path = tmp_path / "outputs.npz"
-        tensornet.save_network(replace(tensornet.load_network(nsai), output_names=list(outputs)), path)
+        net = tensornet.load_network(nsai)
+        tensornet.save_network(replace(net, unit_labels=[*net.unit_labels[:-1], list(outputs)]), path)
         capsys.readouterr()
         argv = [command, "--model", str(path), "--data", str(synth_dir / "test.csv"), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
@@ -635,6 +636,9 @@ class TestFlagResolution:
             (["train", "--data", str(FIXTURE), "--seed", "-1"], {}, None),
             (["explain", "--model", "m.npz", "--data", str(FIXTURE), "--seed", "-1"], {}, None),
             (["compare", "--train", "a", "--test", "b", "--rules", "r", "--seed", "-1"], {}, None),
+            # a required flag comes from the command line only
+            (["train"], {"HORNNET_DATA": str(FIXTURE)}, None),
+            (["train"], {}, {"data": str(FIXTURE)}),
         ],
     )
     def test_bad_values_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv, env, config):
@@ -683,7 +687,11 @@ class TestFlagResolution:
         "input_names": ({"input_names": []}, "unreadable model file: input_names length must match first layer width"),
         "unit_label_lists": ({"unit_labels": []}, "unreadable model file: unit_labels must have one list per layer"),
         "unit_label_count": ({"unit_labels": [[]] * 3}, "unreadable model file: unit label count must match layer width"),
-        "output_names": ({"output_names": []}, "unreadable model file: output_names length must match final layer width"),
+        "output_names": ({"output_names": []}, "unreadable model file: output_names [] are not the output layer's labels ['Low', 'High']"),
+        "output_names_order": (
+            {"output_names": ["High", "Low"]},
+            "unreadable model file: output_names ['High', 'Low'] are not the output layer's labels ['Low', 'High']",
+        ),
     }
     # array members replaced, each with the message it ends in
     ARRAY_EDITS = {

@@ -30,27 +30,27 @@ def constant_model(x):
 class TestLime:
     def test_signs_and_magnitude_ordering(self):
         model = logistic_model([2.0, -3.0])
-        stats = FeatureStats(("x1", "x2"), np.zeros(2), np.ones(2))
+        stats = FeatureStats(("x1", "x2"), np.ones(2))
         exp = lime_explain(model, np.zeros(2), stats, n_samples=2000, seed=0)
         imp = {name: i for name, _v, i in exp.contributions}
         assert imp["x1"] > 0 and imp["x2"] < 0
         assert abs(imp["x2"]) > abs(imp["x1"])
 
     def test_constant_model_flat(self):
-        stats = FeatureStats(("a", "b", "c"), np.zeros(3), np.ones(3))
+        stats = FeatureStats(("a", "b", "c"), np.ones(3))
         exp = lime_explain(constant_model, np.zeros(3), stats, n_samples=500, seed=1)
         assert all(abs(i) < 1e-3 for _n, _v, i in exp.contributions)
 
     def test_deterministic(self):
         model = logistic_model([1.0, 0.5, -0.2])
-        stats = FeatureStats(("a", "b", "c"), np.zeros(3), np.ones(3))
+        stats = FeatureStats(("a", "b", "c"), np.ones(3))
         a = lime_explain(model, np.array([0.1, 0.2, 0.3]), stats, seed=4)
         b = lime_explain(model, np.array([0.1, 0.2, 0.3]), stats, seed=4)
         assert a == b
 
     def test_contributions_cover_all_features_once(self):
         model = logistic_model([1.0, 0.0, 2.0, -1.0])
-        stats = FeatureStats(("a", "b", "c", "d"), np.zeros(4), np.ones(4))
+        stats = FeatureStats(("a", "b", "c", "d"), np.ones(4))
         exp = lime_explain(model, np.zeros(4), stats, seed=2)
         assert sorted(n for n, _v, _i in exp.contributions) == ["a", "b", "c", "d"]
         # sorted by |importance| descending
@@ -59,20 +59,20 @@ class TestLime:
 
     def test_probabilities_recorded(self):
         model = logistic_model([1.0], intercept=2.0)
-        stats = FeatureStats(("x",), np.zeros(1), np.ones(1))
+        stats = FeatureStats(("x",), np.ones(1))
         exp = lime_explain(model, np.zeros(1), stats, seed=0)
         assert exp.predicted == "High"
         assert abs(sum(exp.confidence) - 1.0) < 1e-9
 
     def test_constant_feature_handled_by_ridge(self, caplog):
         model = logistic_model([1.0, 0.0])
-        stats = FeatureStats(("x", "const"), np.zeros(2), np.array([1.0, 0.0]))
+        stats = FeatureStats(("x", "const"), np.array([1.0, 0.0]))
         exp = lime_explain(model, np.zeros(2), stats, seed=3)
         imp = {n: i for n, _v, i in exp.contributions}
         assert abs(imp["const"]) < 1e-6
 
     def test_sample_floor(self):
-        stats = FeatureStats(("x",), np.zeros(1), np.ones(1))
+        stats = FeatureStats(("x",), np.ones(1))
         with pytest.raises(ValueError, match="n_samples"):
             lime_explain(constant_model, np.zeros(1), stats, n_samples=10)
 

@@ -238,7 +238,7 @@ class TestExtraction:
     def test_single_weight_trivial_rule(self):
         layer = Layer(np.array([[0.9]]), np.array([-1.3]), "sigmoid")
         inner = Layer(np.array([[1.0]]), np.array([0.0]), "sigmoid")
-        net = Network([inner, layer], [["h"], ["u"]], ["x"], ["u"], rules=parse_rules("u :- h.\nh :- x."))
+        net = Network([inner, layer], [["h"], ["u"]], ["x"], rules=parse_rules("u :- h.\nh :- x."))
         data = Dataset(("x",), np.array([[0.2], [0.8]]), np.array(["Low", "High"], object))
         extracted = extract_rules(net, data)
         rule = next(r for r in extracted.rules if r.head == "u")
@@ -347,7 +347,7 @@ def random_knowledge_net(seed, widths=(9, 6, 4)):
         for sources, heads in zip([inputs] + labels, labels[:-1])
         for head in heads
     ]
-    return Network(layers, labels, inputs, ["Low", "High"], rules=RuleSet(clauses))
+    return Network(layers, labels, inputs, rules=RuleSet(clauses))
 
 
 class TestMatmulReplay:
@@ -377,7 +377,7 @@ class TestPermutationImportance:
         hidden = Layer(weights, np.array([-20.0]), "sigmoid")
         out = Layer(np.array([[-8.0], [8.0]]), np.array([4.0, -4.0]), "softmax")
         rules = parse_rules(f"ind :- {inputs[0]}.")
-        return Network([hidden, out], [["ind"], ["Low", "High"]], list(inputs), ["Low", "High"], rules=rules)
+        return Network([hidden, out], [["ind"], ["Low", "High"]], list(inputs), rules=rules)
 
     def test_unused_feature_importance_zero(self):
         net = self.indicator_net(("f", "g"))

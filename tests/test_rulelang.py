@@ -168,8 +168,6 @@ class TestTypes:
             rules = random_ruleset(rng)
             heads = set(rules.heads)
             assert rules.inputs.isdisjoint(heads)
-            intermediates = heads - rules.roots
-            assert rules.symbols == rules.inputs | rules.roots | intermediates
 
     def test_clause_body_nonempty(self):
         with pytest.raises(RuleError):

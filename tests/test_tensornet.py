@@ -32,7 +32,7 @@ from hornnet.tensornet import (
 
 def single_unit_net(weight, bias, activation):
     layer = Layer(np.array([[weight]]), np.array([bias]), activation)
-    return Network([layer], [["u"]], ["x"], ["u"])
+    return Network([layer], [["u"]], ["x"])
 
 
 class TestBuild:
@@ -68,13 +68,13 @@ class TestBuild:
             Layer(np.zeros((2, 4)), np.zeros(2), "softmax"),
         ]
         with pytest.raises(ValueError, match="incompatible"):
-            Network(layers, [["a"] * 3, ["b"] * 2], ["x", "y"], ["p", "q"])
+            Network(layers, [["a"] * 3, ["b"] * 2], ["x", "y"])
 
 
 class TestForward:
     def test_zero_weight_softmax_symmetry(self):
         layer = Layer(np.zeros((2, 3)), np.zeros(2), "softmax")
-        net = Network([layer], [["a", "b"]], ["x", "y", "z"], ["a", "b"])
+        net = Network([layer], [["a", "b"]], ["x", "y", "z"])
         out = forward(net, np.array([1.0, 2.0, 3.0]))[-1]
         assert np.allclose(out, [0.5, 0.5])
 
@@ -102,7 +102,7 @@ class TestForward:
 
     def test_relu_clamps(self):
         layer = Layer(np.eye(2), np.array([-1.0, 3.0]), "relu")
-        net = Network([layer], [["a", "b"]], ["x", "y"], ["a", "b"])
+        net = Network([layer], [["a", "b"]], ["x", "y"])
         out = forward(net, np.array([0.0, 0.0]))[-1]
         assert np.array_equal(out, [0.0, 3.0])
 
@@ -232,7 +232,7 @@ class TestFinalActivations:
             return score
 
         monkeypatch.setattr(tensornet, "_validation_score", traced)
-        nets = [build_mlp(9, [50, 50], 2, seed=k, class_names=CLASSES) for k in range(3)]
+        nets = [build_mlp(9, [50, 50], 2, seed=k, input_names=data.feature_names, class_names=CLASSES) for k in range(3)]
         train_stack(nets, data, [TrainConfig(seed=k, max_epochs=1) for k in range(3)])
         layer = 1000 * 50 * 8  # one member's 50-wide layer over its 1000 validation rows
         assert max(peak for _, peak in peaks) < 2.5 * layer  # two such layers and the scores' small arrays
@@ -260,7 +260,7 @@ class TestInputBounds:
     def test_train_scales_its_rows_once(self, toy_dataset):
         bounds = feature_bounds(toy_dataset)
         config = TrainConfig(seed=3, max_epochs=4, batch_size=8)
-        net = build_mlp(3, [5], 2, seed=3, class_names=["Low", "High"])
+        net = build_mlp(3, [5], 2, seed=3, input_names=toy_dataset.feature_names, class_names=["Low", "High"])
         got, _ = train(replace(net, input_bounds=bounds), toy_dataset, config)
         want, _ = train(net, replace(toy_dataset, rows=scale(toy_dataset.rows, bounds)), config)
         for a, b in zip(got.layers, want.layers):
@@ -351,7 +351,7 @@ class TestTrain:
 
     def test_xor_learned(self):
         data = self.xor_data()
-        net = build_mlp(2, [8], 2, seed=3, class_names=["Low", "High"])
+        net = build_mlp(2, [8], 2, seed=3, input_names=data.feature_names, class_names=["Low", "High"])
         config = TrainConfig(seed=3, max_epochs=2000, l1=0.0, l2=0.0)
         trained, report = train(net, data, config)
         preds = predict_labels(trained, data.rows)
@@ -359,7 +359,7 @@ class TestTrain:
         assert report.epochs_run <= 2000
 
     def test_zero_learning_rate_freezes_everything(self, toy_dataset):
-        net = build_mlp(3, [5], 2, seed=1, class_names=["Low", "High"])
+        net = build_mlp(3, [5], 2, seed=1, input_names=toy_dataset.feature_names, class_names=["Low", "High"])
         before = [l.weights.copy() for l in net.layers]
         trained, report = train(net, toy_dataset, TrainConfig(seed=1, learning_rate=0.0, max_epochs=10))
         for w0, layer in zip(before, trained.layers):
@@ -422,7 +422,7 @@ class TestTrain:
 
     def test_determinism(self, toy_dataset):
         config = TrainConfig(seed=9, max_epochs=20)
-        net = build_mlp(3, [6], 2, seed=9, class_names=["Low", "High"])
+        net = build_mlp(3, [6], 2, seed=9, input_names=toy_dataset.feature_names, class_names=["Low", "High"])
         a, ra = train(net, toy_dataset, config)
         b, rb = train(net, toy_dataset, config)
         for la, lb in zip(a.layers, b.layers):
@@ -456,7 +456,7 @@ class TestTrain:
             train(net, (np.zeros((0, 2)), np.zeros((0, 2))), TrainConfig())
 
     def test_histories_match_epochs(self, toy_dataset):
-        net = build_mlp(3, [4], 2, seed=2, class_names=["Low", "High"])
+        net = build_mlp(3, [4], 2, seed=2, input_names=toy_dataset.feature_names, class_names=["Low", "High"])
         _, report = train(net, toy_dataset, TrainConfig(seed=2, max_epochs=10))
         assert len(report.train_loss_history) == report.epochs_run
         assert len(report.validation_score_history) == report.epochs_run
@@ -563,7 +563,7 @@ def _worsening_validation_case():
 class TestFlatParameterTraining:
     def case(self, name, toy_dataset, ct_rules):
         if name == "mlp_cross_entropy":
-            net = build_mlp(3, [6, 4], 2, seed=4, class_names=["Low", "High"])
+            net = build_mlp(3, [6, 4], 2, seed=4, input_names=toy_dataset.feature_names, class_names=["Low", "High"])
             return net, toy_dataset, TrainConfig(seed=4, max_epochs=12, batch_size=8)
         if name == "compiled":
             raw, _ = generate_synthetic(SynthConfig(n_rows=150, n_test=20, seed=5))
@@ -600,7 +600,7 @@ class TestFlatParameterTraining:
 
             monkeypatch.setattr(tensornet, name, counting)
         config = TrainConfig(seed=3, max_epochs=6, batch_size=8)
-        _, report = train(build_mlp(3, [5], 2, seed=3, class_names=["Low", "High"]), toy_dataset, config)
+        _, report = train(build_mlp(3, [5], 2, seed=3, input_names=toy_dataset.feature_names, class_names=["Low", "High"]), toy_dataset, config)
         train_idx, val_idx = validation_split(60, config.validation_fraction, config.seed, toy_dataset.labels)
         batches = -(-len(train_idx) // config.batch_size)
         assert len(val_idx) > 0
@@ -636,7 +636,7 @@ class TestTrainStack:
     def test_ragged_batches_different_stops_and_no_validation(self):
         data, _ = generate_synthetic(SynthConfig(n_rows=150, n_test=20, seed=11))
         seeds = [3, 4, 5, 6, 7]
-        nets = [replace(build_mlp(data.n_features, [12, 8], 2, seed=s, class_names=list(CLASSES)), input_bounds=feature_bounds(data)) for s in seeds]
+        nets = [replace(build_mlp(data.n_features, [12, 8], 2, seed=s, input_names=data.feature_names, class_names=list(CLASSES)), input_bounds=feature_bounds(data)) for s in seeds]
         configs = [TrainConfig(seed=s, max_epochs=30, batch_size=16) for s in seeds]
         # 150, 141, 131 and 97 rows leave last batches of 7, 15, 6 and 8 rows
         # after validation; 9 rows give no validation rows (int(0.9) == 0)
@@ -666,7 +666,7 @@ class TestTrainStack:
         self.assert_stack_equals_separate(nets, (x, x), configs, rows)
 
     def test_every_row_when_rows_not_given(self, toy_dataset):
-        nets = [build_mlp(3, [5], 2, seed=s, class_names=["Low", "High"]) for s in (1, 2)]
+        nets = [build_mlp(3, [5], 2, seed=s, input_names=toy_dataset.feature_names, class_names=["Low", "High"]) for s in (1, 2)]
         configs = [TrainConfig(seed=s, max_epochs=8, batch_size=8) for s in (1, 2)]
         stacked = train_stack(nets, toy_dataset, configs)
         for (model, _), net, config in zip(stacked, nets, configs):
