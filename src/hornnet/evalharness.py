@@ -200,7 +200,8 @@ def run_comparison(
     `train_data`'s; augmentation touches training rows only, and every model
     scales with `train_data`'s bounds. Permutation importance shuffles
     `datakit.SPURIOUS_FEATURE`. A missing test column and any kind's builder
-    error (a rule compilation error) surface before any augmentation or training.
+    error (a rule compilation error) surface before any augmentation or training,
+    and a dataset of fewer than 3 rows before any training.
     """
     test_data = datakit._match_columns(test_data, train_data.feature_names, "test_data")
     bounds = datakit.feature_bounds(train_data)
@@ -213,6 +214,7 @@ def run_comparison(
         "autoencoder_train": augment.balance_with_autoencoder(train_data, seed=derive_seed(master_seed, "ae-sample")),
         "test": test_data,
     }
+    correlations, flags = correlation_table(list(datasets.items()))
     models, train_reports, cv_accuracy, test_metrics, importances = {}, {}, {}, {}, {}
     truth = test_data.labels.astype(str)
     for name, rows, build in MODEL_KINDS:
@@ -233,7 +235,6 @@ def run_comparison(
             seed=derive_seed(master_seed, f"perm-{name}"),
         )
 
-    correlations, flags = correlation_table(list(datasets.items()))
     nsai_rules = kbann.extract_rules(models["nsai"], train_data)
 
     return ExperimentReport(

@@ -3,8 +3,8 @@ rules from a trained one.
 
 Compilation maps each head to a sigmoid unit one level above its deepest
 antecedent. A conjunctive unit gets links of magnitude omega from its
-antecedents and bias -omega*(P - 1/2) (P = positive-literal count); a
-disjunctive head ORs its rewrite intermediates with bias -omega/2. Links for
+antecedents and bias -omega*(P - 1/2) (P = positive-literal count); a head
+with several clauses ORs its rewrite intermediates, with P = 1. Links for
 antecedents that are themselves sigmoid units are calibrated: the antecedent's
 attainable true/false activation bands are propagated bottom-up, and the link
 weight/bias are scaled so a "true" antecedent contributes exactly omega and a
@@ -156,10 +156,11 @@ def _disjunction_band(omega, parts_bands) -> _Band:
 def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig | None = None) -> Network:
     """Build an initialized network whose labeled units realize the rules.
 
-    Takes any parsed rule set with one root head and every rule input present
-    in `feature_names`; multi-clause heads go through `rewrite_disjuncts`
-    first. `classes` is (negative, positive); the root unit drives the
-    positive output. The net keeps `rules`, as given, in `Network.rules`.
+    Takes any rule set, parsed or rewritten, with one root head and every rule
+    input in `feature_names`. After its `rewrite_disjuncts`, a head with several
+    clauses is an OR over their intermediates, any other head an AND. `classes`
+    is (negative, positive); the root unit drives the positive output. The net
+    keeps `rules`, as given, in `Network.rules`.
     """
     config = config or CompileConfig()
     omega = config.omega
@@ -173,9 +174,6 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
     unknown = rules.inputs - set(feature_names)
     if unknown:
         raise CompileError(f"rule inputs missing from feature_names: {sorted(unknown)}")
-    for head in rules.disjunctive_heads:
-        if any(len(c.body) != 1 or c.body[0].negated for c in rules.clauses_by_head[head]):
-            raise CompileError(f"disjunctive head {head!r} has non-trivial clauses")
     root = next(iter(rules.roots))
 
     # Level of each symbol: features at 0, heads one above their deepest antecedent.
@@ -217,8 +215,8 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
 
     for head in rules.topological_heads:
         lvl = level[head]
-        kind = "or" if head in rules.disjunctive_heads else "and"
         clauses = rules.clauses_by_head[head]
+        kind = "or" if len(clauses) > 1 else "and"
         parts = [(represent(lit.symbol, lvl - 1), lit.negated) for c in clauses for lit in c.body]
         placed[(head, lvl)] = place(head, lvl, kind, parts)
 
@@ -246,11 +244,9 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
         for unit in units:
             if unit.kind == "extra":
                 continue
-            if unit.kind == "or":
-                bias = -omega / 2.0
-            else:
-                p = sum(0.0 if neg else 1.0 for _, neg in unit.parts)
-                bias = -omega * (p - 0.5)
+            # KBANN's N-of-M bias: an OR needs one of its parts, an AND all its positive ones
+            p = 1.0 if unit.kind == "or" else sum(0.0 if neg else 1.0 for _, neg in unit.parts)
+            bias = -omega * (p - 0.5)
             for src, negated in unit.parts:
                 w = omega / src.band.gap
                 # accumulate: a repeated antecedent (C :- A, A.) keeps AND

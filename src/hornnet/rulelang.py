@@ -33,7 +33,8 @@ __all__ = [
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # Suffixes minted by rewrite_disjuncts / network compilation; user files may
-# not claim them, so generated names can never collide.
+# not claim them, so generated names can never collide, and clauses
+# ``H :- H__d1.`` ... ``H :- H__dk.`` can only be the rewrite's OR form.
 _RESERVED_SUFFIX_RE = re.compile(r"__(?:d|via)\d+$")
 
 
@@ -82,15 +83,11 @@ class HornClause:
 
 
 class RuleSet:
-    """An ordered, acyclic collection of Horn clauses.
+    """An ordered, acyclic collection of Horn clauses; two rule sets are equal
+    when their clauses are. A head with several clauses is their OR."""
 
-    `disjunctive_heads` marks heads whose clauses were produced by
-    `rewrite_disjuncts`: each such head ORs over fresh intermediate heads.
-    """
-
-    def __init__(self, clauses, disjunctive_heads=frozenset()):
+    def __init__(self, clauses):
         self.clauses: tuple[HornClause, ...] = tuple(clauses)
-        self.disjunctive_heads = frozenset(disjunctive_heads)
 
         seen = set()
         by_head: dict[str, list[HornClause]] = {}
@@ -106,10 +103,6 @@ class RuleSet:
         body_symbols = {lit.symbol for c in self.clauses for lit in c.body}
         self.inputs = frozenset(body_symbols - set(self.heads))
         self.roots = frozenset(set(self.heads) - body_symbols)
-
-        unknown = self.disjunctive_heads - set(self.heads)
-        if unknown:
-            raise RuleError(f"disjunctive marks for unknown heads: {sorted(unknown)}")
         self.topological_heads = self._topological_order()
 
     def _topological_order(self) -> tuple[str, ...]:
@@ -138,7 +131,7 @@ class RuleSet:
     def __eq__(self, other):
         if not isinstance(other, RuleSet):
             return NotImplemented
-        return self.clauses == other.clauses and self.disjunctive_heads == other.disjunctive_heads
+        return self.clauses == other.clauses
 
     def __repr__(self):
         return f"RuleSet({len(self.clauses)} clauses, roots={sorted(self.roots)})"
@@ -238,14 +231,14 @@ def rewrite_disjuncts(rules: RuleSet) -> RuleSet:
 
     A head with k > 1 clauses becomes k intermediates ``<head>__d1..__dk``,
     one per original body, plus k single-antecedent clauses
-    ``<head> :- <head>__di``; the head is marked disjunctive. Already-marked
-    heads and single-clause heads pass through unchanged, so the rewrite is
+    ``<head> :- <head>__di``: the OR form. Heads already in the form it
+    writes and single-clause heads pass through unchanged, so the rewrite is
     idempotent and boolean-equivalent on the original heads.
     """
     multi = {
         head
         for head, cs in rules.clauses_by_head.items()
-        if len(cs) > 1 and head not in rules.disjunctive_heads
+        if len(cs) > 1 and [c.body for c in cs] != [(Literal(f"{head}__d{i}"),) for i in range(1, len(cs) + 1)]
     }
     if not multi:
         return rules
@@ -264,7 +257,7 @@ def rewrite_disjuncts(rules: RuleSet) -> RuleSet:
         fresh = [f"{head}__d{i}" for i in range(1, len(originals) + 1)]
         out.extend(HornClause(head, (Literal(name),)) for name in fresh)
         out.extend(HornClause(name, orig.body) for name, orig in zip(fresh, originals))
-    return RuleSet(out, rules.disjunctive_heads | multi)
+    return RuleSet(out)
 
 
 # --------------------------------------------------------------------------

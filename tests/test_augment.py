@@ -91,6 +91,10 @@ class TestSmote:
         with pytest.raises(AugmentError, match="at least 2"):
             smote(data, SmoteConfig(k_neighbors=1))
 
+    def test_k_neighbors_must_be_positive(self):
+        with pytest.raises(AugmentError, match="^k_neighbors must be >= 1$"):
+            SmoteConfig(k_neighbors=0)
+
     def test_k_must_be_below_minority_count(self):
         data = imbalanced(n_min=3)
         with pytest.raises(AugmentError, match="k_neighbors"):

@@ -239,6 +239,13 @@ class TestCReader:
             load_csv(path)
         assert str(exc.value) == f"{path}: non-numeric cell 'x' at row 7, column 2"
 
+    def test_zero_byte_file_is_empty(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: empty file"
+
     @pytest.mark.parametrize("body", ["", "\n\n"], ids=["header_only", "blank_lines"])
     def test_no_data_rows_under_warnings_as_errors(self, tmp_path, body):
         path = tmp_path / "d.csv"
@@ -342,6 +349,10 @@ class TestSplits:
         with pytest.raises(DataError):
             kfold_split(toy_dataset, toy_dataset.n_rows + 1, seed=0)
 
+    def test_k_below_two_rejected(self, toy_dataset):
+        with pytest.raises(DataError, match="^k must be at least 2$"):
+            kfold_split(toy_dataset, 1, seed=0)
+
 
 class TestGenerator:
     def test_correlation_targets_hit(self):
@@ -400,6 +411,18 @@ class TestGenerator:
         with pytest.raises(DataError):
             SynthConfig(train_spurious_r=1.5)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_rows", 9, "need at least 10 rows per split"),
+            ("n_test", 9, "need at least 10 rows per split"),
+            ("class_ratio", 1.0, r"class_ratio must be in \(0, 1\)"),
+        ],
+    )
+    def test_bad_sizes_rejected(self, field, value, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            SynthConfig(**{field: value})
+
     def test_split_log_computed_only_when_shown(self, monkeypatch, caplog):
         calls = []
 
@@ -423,6 +446,25 @@ class TestGenerator:
 
 
 class TestHelpers:
+    @pytest.mark.parametrize(
+        "rows, labels, origin, message",
+        [
+            ([1.0, 2.0], ["High", "Low"], None, "rows must be a 2-D matrix"),
+            ([[1.0], [2.0]], ["High"], None, "row/label count mismatch"),
+            ([[1.0, 2.0]], ["High"], None, "column/feature-name count mismatch"),
+            ([[np.nan]], ["High"], None, "rows contain non-finite values"),
+            ([[1.0]], ["High"], ["real", "smote"], "origin length mismatch"),
+        ],
+        ids=["one_dimensional", "labels", "columns", "non_finite", "origin"],
+    )
+    def test_inconsistent_dataset_rejected(self, rows, labels, origin, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            Dataset(("x",), rows, labels, origin)
+
+    def test_unknown_column_named(self, toy_dataset):
+        with pytest.raises(DataError, match="^unknown feature 'nope'$"):
+            toy_dataset.column("nope")
+
     def test_one_hot(self):
         out = one_hot(["Low", "High", "Low"], ("Low", "High"))
         assert np.array_equal(out, [[1, 0], [0, 1], [1, 0]])

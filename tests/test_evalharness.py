@@ -93,6 +93,10 @@ class TestMetrics:
         with pytest.raises(ValueError):
             compute_metrics(["High"], ["High", "Low"])
 
+    def test_no_predictions(self):
+        with pytest.raises(ValueError, match="^need at least one prediction$"):
+            compute_metrics([], [])
+
     def test_label_outside_classes_named(self):
         with pytest.raises(ValueError, match="'Pass' is not one of the classes Low, High"):
             compute_metrics(["Pass", "High"], ["High", "Low"], ("Low", "High"))
@@ -101,6 +105,10 @@ class TestMetrics:
 class TestCorrelationTable:
     def _data(self, col, labels):
         return Dataset(("f",), np.asarray(col, dtype=float).reshape(-1, 1), np.asarray(labels, dtype=object))
+
+    def test_no_datasets(self):
+        with pytest.raises(ValueError, match="^no datasets given$"):
+            correlation_table([])
 
     def test_identical_to_label(self):
         data = self._data([1, 0, 1, 0], ["High", "Low", "High", "Low"])
@@ -206,6 +214,15 @@ class TestComparison:
         no_loop = replace(test, feature_names=[test.feature_names[i] for i in keep], rows=test.rows[:, keep])
         with pytest.raises(DataError, match=r"^test_data: missing feature column\(s\) the model needs: Loop$"):
             run_comparison(train, no_loop, rules, master_seed=5, cv_folds=3)
+
+    def test_short_test_set_fails_before_training(self, small_setup, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(evalharness, "_train_with_folds", no_training)
+        rules, train, test = small_setup
+        with pytest.raises(ValueError, match="^dataset 'test' needs at least 3 rows$"):
+            run_comparison(train, subset(test, [0, 1]), rules, master_seed=5, cv_folds=3)
 
     def test_one_more_kind_adds_one_row(self, small_setup, small_report, monkeypatch):
         # a control is one more table entry; seeds derive from names, so the

@@ -96,6 +96,22 @@ class TestCompileExact:
         sources = {net.unit_labels[0][i] for i in np.flatnonzero(mask)}
         assert sources == {"CT_concepts", "CT_skills"}
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("omega", 0.0, "omega must be > 0"),
+            ("perturb_scale", -0.1, "perturb_scale must be >= 0"),
+            ("extra_hidden_per_level", -1, "extra_hidden_per_level must be >= 0"),
+        ],
+    )
+    def test_bad_config_rejected(self, field, value, message):
+        with pytest.raises(CompileError, match=f"^{message}$"):
+            CompileConfig(**{field: value})
+
+    def test_two_classes_required(self):
+        with pytest.raises(CompileError, match=r"^exactly two classes are required \(negative, positive\)$"):
+            compile_rules(parse_rules("C :- A."), ["A"], ["Low", "Mid", "High"])
+
     def test_unknown_rule_input_rejected(self, ct_rules):
         with pytest.raises(CompileError, match="missing from feature_names"):
             compile_rules(ct_rules, ["Conditional", "Loop"], ["Low", "High"])
@@ -123,6 +139,26 @@ class TestCompileExact:
             assert nets[0].rules is rules and nets[1].rules == rewrite_disjuncts(rules)
             for a, b in zip(rule_links(nets[0]), rule_links(nets[1])):
                 assert a.tobytes() == b.tobytes()
+        assert multi >= 10
+
+    def test_clause_copy_of_a_rewrite_is_the_rewrite(self):
+        # a head's OR-ness is read from its clauses, so a rule set rebuilt
+        # from a rewrite's clauses equals it, rewrites to itself and compiles
+        # to the same net
+        rng = np.random.default_rng(25)
+        multi = 0
+        for trial in range(30):
+            rewritten = rewrite_disjuncts(random_ruleset(rng, negation_prob=0.3, multi_clause_prob=0.5))
+            copy = RuleSet(rewritten.clauses)
+            multi += any(len(cs) > 1 for cs in copy.clauses_by_head.values())
+            assert copy == rewritten
+            assert rewrite_disjuncts(copy) == copy
+            config = CompileConfig(seed=trial)
+            nets = [compile_rules(r, sorted(r.inputs), ["Low", "High"], config) for r in (rewritten, copy)]
+            assert nets[0].unit_labels == nets[1].unit_labels
+            for a, b in zip(nets[0].layers, nets[1].layers):
+                for name in ("weights", "biases"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert multi >= 10
 
     def test_output_pair_closed_form(self):
@@ -306,6 +342,11 @@ class TestExtraction:
         with pytest.raises(ValueError, match="empty"):
             extract_rules(net, empty)
 
+    def test_negative_group_tolerance_rejected(self, ct_rules, game_features, toy_dataset):
+        net = compile_rules(ct_rules, game_features, ["Low", "High"], CompileConfig(seed=4))
+        with pytest.raises(ValueError, match="^group_tolerance must be >= 0$"):
+            extract_rules(net, toy_dataset, group_tolerance=-0.1)
+
 
 def loop_replay_classes(net, extracted, rows):
     """Reference replay: every unit sums its terms' weighted member columns,
@@ -407,6 +448,10 @@ class TestPermutationImportance:
     def test_unknown_feature(self, toy_dataset):
         with pytest.raises(ValueError, match="unknown feature"):
             permutation_importance(self.indicator_net(), toy_dataset, "nope")
+
+    def test_repeats_must_be_positive(self, toy_dataset):
+        with pytest.raises(ValueError, match="^repeats must be >= 1$"):
+            permutation_importance(self.indicator_net(), toy_dataset, "f", repeats=0)
 
 
 class TestTrainedPipeline:

@@ -47,8 +47,12 @@ class TestBuild:
             build_mlp(1, [], 1, seed=0)
 
     def test_zero_dimension_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^input_dim must be >= 1$"):
             build_mlp(0, [4], 2, seed=0)
+
+    def test_zero_width_hidden_layer_rejected(self):
+        with pytest.raises(ValueError, match="^layer widths must be >= 1$"):
+            build_mlp(3, [4, 0], 2, seed=0)
 
     def test_same_seed_identical(self):
         a = build_mlp(5, [7], 2, seed=123)
@@ -455,6 +459,33 @@ class TestTrain:
         with pytest.raises(TrainingError, match="empty"):
             train(net, (np.zeros((0, 2)), np.zeros((0, 2))), TrainConfig())
 
+    @pytest.mark.parametrize(
+        "specs, loss, width, message",
+        [
+            (
+                [(3, "softmax"), (2, "softmax")],
+                "cross_entropy",
+                2,
+                "softmax is only supported as the final layer with cross-entropy loss",
+            ),
+            ([(3, "relu"), (2, "sigmoid")], "cross_entropy", 2, "cross-entropy loss requires a softmax output layer"),
+            (
+                [(3, "relu"), (2, "softmax")],
+                "mean_squared_error",
+                2,
+                "mean_squared_error is not supported with a softmax output layer",
+            ),
+            ([(3, "relu"), (2, "softmax")], "cross_entropy", 3, "data width 3 != network input dim 2"),
+            ([(3, "relu"), (3, "softmax")], "cross_entropy", 2, "target shape does not match network output"),
+        ],
+        ids=["hidden_softmax", "cross_entropy_sigmoid", "mse_softmax", "data_width", "target_shape"],
+    )
+    def test_unusable_network_or_data_rejected(self, specs, loss, width, message):
+        net = build_network(2, specs, seed=0)
+        x, targets = np.zeros((4, width)), np.eye(2)[[0, 1, 0, 1]]
+        with pytest.raises(TrainingError, match=f"^{message}$"):
+            train(net, (x, targets), TrainConfig(loss=loss))
+
     def test_histories_match_epochs(self, toy_dataset):
         net = build_mlp(3, [4], 2, seed=2, input_names=toy_dataset.feature_names, class_names=["Low", "High"])
         _, report = train(net, toy_dataset, TrainConfig(seed=2, max_epochs=10))
@@ -468,6 +499,11 @@ class TestTrain:
             TrainConfig(patience=0)
         with pytest.raises(ValueError):
             TrainConfig(validation_fraction=1.0)
+        with pytest.raises(ValueError, match="^unknown loss 'hinge'$"):
+            TrainConfig(loss="hinge")
+        for sizes in ({"batch_size": 0}, {"max_epochs": 0}):
+            with pytest.raises(ValueError, match="^batch_size and max_epochs must be >= 1$"):
+                TrainConfig(**sizes)
         TrainConfig(learning_rate=0.0)  # zero step size is allowed
 
     @pytest.mark.parametrize(
@@ -691,8 +727,21 @@ class TestTrainStack:
         with pytest.raises(ValueError, match="stacked"):
             train_stack([first, second], toy_dataset, [TrainConfig(seed=1), config])
 
+    def test_one_config_and_nonempty_rows_per_member(self):
+        net = build_mlp(3, [5], 2, seed=1)
+        data = (np.zeros((6, 3)), np.eye(2)[[0, 1] * 3])
+        with pytest.raises(ValueError, match="^train_stack needs one config and one row set per network$"):
+            train_stack([net, net], data, [TrainConfig(seed=1)])
+        with pytest.raises(TrainingError, match="^training data is empty$"):
+            train_stack([net, net], data, [TrainConfig(seed=1), TrainConfig(seed=2)], rows=[[0, 1, 2], []])
+
 
 class TestGradientCheck:
+    def test_epsilon_must_be_positive(self):
+        net = build_network(3, [(2, "softmax")], seed=0)
+        with pytest.raises(ValueError, match="^epsilon must be > 0$"):
+            numerical_gradient_check(net, np.zeros((2, 3)), np.eye(2), epsilon=0.0)
+
     @pytest.mark.parametrize("l1, n_checked, n_skipped", [(1.0, 23, 3), (0.0, 26, 0)])
     def test_counts_with_kink_weights(self, l1, n_checked, n_skipped):
         net = build_network(3, [(4, "sigmoid"), (2, "softmax")], seed=8)
