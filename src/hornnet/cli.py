@@ -207,13 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
-def _read_rules(path):
-    """The rule set in the file at `path`; text that is not UTF-8 or not a
-    valid rule set is an error that names the file."""
+def _read_rules(path, data_path, columns):
+    """The rule set in the file at `path`; text that is not UTF-8 or not a valid rule
+    set, or an input not among `columns`, those of the CSV at `data_path`, is an
+    error that names the files."""
     try:
-        return parse_rules(Path(path).read_text(encoding="utf-8-sig"))
+        rules = parse_rules(Path(path).read_text(encoding="utf-8-sig"))
     except (UnicodeDecodeError, RuleError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if missing := sorted(rules.inputs - set(columns)):
+        raise ValueError(f"{path}: rule inputs missing from the columns of {data_path}: {missing}")
+    return rules
 
 
 def _cmd_synth(args, out: Path) -> tuple[list[Path], list[Path]]:
@@ -243,7 +247,8 @@ def _cmd_train(args, out: Path) -> tuple[list[Path], list[Path]]:
     if model_kind == "nsai":  # a bad rule file fails before any augmentation
         inputs.append(Path(args.rules))
         compile_config = kbann.CompileConfig(omega=args.omega, seed=args.seed)
-        net = kbann.compile_rules(_read_rules(args.rules), data.feature_names, CLASSES, compile_config)
+        rules = _read_rules(args.rules, args.data, data.feature_names)
+        net = kbann.compile_rules(rules, data.feature_names, CLASSES, compile_config)
     else:
         net = evalharness.build_baseline(data, args.seed)
     if args.augment == "smote":
@@ -343,7 +348,7 @@ def _cmd_compare(args, out: Path) -> tuple[list[Path], list[Path]]:
     train_data = datakit.load_csv(args.train_path)
     # run_comparison matches the columns too; here a missing one names the file
     test_data = datakit._match_columns(datakit.load_csv(args.test_path), train_data.feature_names, args.test_path)
-    rules = _read_rules(args.rules)
+    rules = _read_rules(args.rules, args.train_path, train_data.feature_names)
     report = evalharness.run_comparison(
         train_data, test_data, rules, master_seed=args.seed, cv_folds=args.cv_folds
     )

@@ -229,34 +229,39 @@ def format_rules(rules: RuleSet) -> str:
 def rewrite_disjuncts(rules: RuleSet) -> RuleSet:
     """Split every multi-clause head into fresh single-clause intermediates.
 
-    A head with k > 1 clauses becomes k intermediates ``<head>__d1..__dk``,
-    one per original body, plus k single-antecedent clauses
-    ``<head> :- <head>__di``: the OR form. Heads already in the form it
-    writes and single-clause heads pass through unchanged, so the rewrite is
-    idempotent and boolean-equivalent on the original heads.
+    A head with k > 1 clauses becomes k clauses ``<head> :- <head>__di``, the
+    OR form, each intermediate taking one original body. A clause that already
+    names an intermediate of its head with clauses in the set stays a branch;
+    the others' intermediates are numbered after the largest i in use. Heads
+    whose clauses are all branches and single-clause heads pass through
+    unchanged, so the rewrite is idempotent and boolean-equivalent on the
+    original heads.
     """
-    multi = {
-        head
-        for head, cs in rules.clauses_by_head.items()
-        if len(cs) > 1 and [c.body for c in cs] != [(Literal(f"{head}__d{i}"),) for i in range(1, len(cs) + 1)]
-    }
+
+    def index(head, symbol):
+        """i when `symbol` is ``<head>__di``, else 0."""
+        match = re.fullmatch(re.escape(head) + r"__d(\d+)", symbol)
+        return int(match.group(1)) if match else 0
+
+    def is_branch(clause):
+        lit, *rest = clause.body
+        return not (rest or lit.negated) and lit.symbol in rules.clauses_by_head and index(clause.head, lit.symbol) > 0
+
+    multi = {head for head, cs in rules.clauses_by_head.items() if len(cs) > 1 and not all(map(is_branch, cs))}
     if not multi:
         return rules
 
     out = []
-    emitted: set[str] = set()
     for clause in rules.clauses:
-        head = clause.head
+        head, clauses = clause.head, rules.clauses_by_head[clause.head]
         if head not in multi:
             out.append(clause)
-            continue
-        if head in emitted:
-            continue
-        emitted.add(head)
-        originals = rules.clauses_by_head[head]
-        fresh = [f"{head}__d{i}" for i in range(1, len(originals) + 1)]
-        out.extend(HornClause(head, (Literal(name),)) for name in fresh)
-        out.extend(HornClause(name, orig.body) for name, orig in zip(fresh, originals))
+        elif clause is clauses[0]:  # a head's rewrite takes its first clause's place
+            moved = [c for c in clauses if not is_branch(c)]
+            first = 1 + max(index(head, symbol) for symbol in (*rules.heads, *rules.inputs))
+            names = {c: f"{head}__d{i}" for i, c in enumerate(moved, first)}
+            out.extend(HornClause(head, (Literal(names[c]),)) if c in names else c for c in clauses)
+            out.extend(HornClause(names[c], c.body) for c in moved)
     return RuleSet(out)
 
 

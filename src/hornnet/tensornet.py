@@ -320,20 +320,16 @@ def predict_labels(net: Network, x) -> np.ndarray:
     return np.asarray(net.output_names, dtype=object)[probs.argmax(axis=1)]
 
 
-def _loss(layers, zs, acts, targets, config, reg_scale, magnitudes=None, terms=None):
-    """Mean data loss of one forward pass over `layers` plus the penalty scaled by
-    `reg_scale`: a float for one network; for a stack, one value per member, with
-    `reg_scale` one value per member. `magnitudes` is passed to `_penalty`, and
-    `terms`, the softmax terms the forward pass kept, to `_logsumexp`."""
+def _data_loss(zs, acts, targets, config, terms=None):
+    """Mean data loss of one forward pass's pre-activations `zs` and activations
+    `acts`: one value per network of a stack. `terms`, the softmax terms the
+    forward pass kept, is passed to `_logsumexp`."""
     rows = zs[-1].shape[-2]
     if config.loss == "cross_entropy":
         logp = zs[-1] - _logsumexp(zs[-1], terms)
-        data = -(targets * logp).sum(axis=(-2, -1)) / rows
-    else:
-        diff = acts[-1] - targets
-        data = (diff * diff).sum(axis=(-2, -1)) / rows
-    loss = data + _penalty(layers, config.l1, config.l2, magnitudes) * reg_scale
-    return float(loss) if np.ndim(loss) == 0 else loss
+        return -(targets * logp).sum(axis=(-2, -1)) / rows
+    diff = acts[-1] - targets
+    return (diff * diff).sum(axis=(-2, -1)) / rows
 
 
 def _logsumexp(z, terms=None):
@@ -346,16 +342,12 @@ def _logsumexp(z, terms=None):
     return m + np.log(s)
 
 
-def _penalty(layers, l1, l2, magnitudes=None):
-    """Summed L1 and L2 weight penalty of `layers`: one value per network of a
-    stack. `magnitudes`, if given, holds each layer's |w| and w * w."""
-    if magnitudes is None:
-        magnitudes = [(np.abs(layer.weights), layer.weights * layer.weights) for layer in layers]
-    total = 0.0
-    for abs_w, square_w in magnitudes:
-        # np.add.reduce is ndarray.sum without its Python wrapper
-        total = total + (l1 * np.add.reduce(abs_w, axis=(-2, -1)) + l2 * np.add.reduce(square_w, axis=(-2, -1)))
-    return total
+def _penalty(w, l1, l2, scratch=None):
+    """L1 plus L2 penalty of `w`, the weight slice of a parameter vector (see `_flat`)
+    or of each row of a stack's; `scratch`, if given, is shaped like `w`."""
+    # np.add.reduce is ndarray.sum without its Python wrapper
+    total = l1 * np.add.reduce(np.abs(w, out=scratch), axis=-1)
+    return total + l2 * np.add.reduce(np.multiply(w, w, out=scratch), axis=-1)
 
 
 def _penalty_grad(w, config, reg_scale, out=None, scratch=None):
@@ -377,8 +369,8 @@ def total_loss(net: Network, x, targets, config, reg_scale: float | None = None)
     """
     if reg_scale is None:
         reg_scale = 1.0 / x.shape[0]
-    zs, acts = _forward_full(net.layers, x)
-    return _loss(net.layers, zs, acts, targets, config, reg_scale)
+    penalty = _penalty(_flat(net.layers)[: _weight_count(net.layers)], config.l1, config.l2)
+    return float(_data_loss(*_forward_full(net.layers, x), targets, config) + penalty * reg_scale)
 
 
 # --------------------------------------------------------------------------
@@ -399,25 +391,20 @@ def _times_activation_grad(delta, layer: Layer, a):
         raise TrainingError("softmax is only supported as the final layer with cross-entropy loss")
 
 
-def _backprop(layers, x, targets, config, reg_scale=None, cache=None, out=None, penalty=None):
-    """Gradients of total_loss wrt every weight and bias of `layers`, one network's
-    or, as in `_forward_full`, a stack's (then `reg_scale` holds one value per
-    member); `cache` is the caller's `_forward_full(layers, x)` result, if it has one.
+def _backprop(layers, x, targets, config, cache=None, out=None):
+    """Gradients of the mean data loss wrt every weight and bias of `layers`, one
+    network's or, as in `_forward_full`, a stack's; `cache` is the caller's
+    `_forward_full(layers, x)` result, if it has one. The penalty's gradient,
+    `_penalty_grad`, is the caller's to add.
 
     `out`, if given, holds per layer three buffers shaped like its weight
-    gradient, bias gradient and delta (rows of `x` by layer width); the
-    gradients are written there. A delta buffer may be the layer's
-    pre-activations in `cache`, which are not read here. `penalty`, if
-    given, holds each layer's `_penalty_grad`, which is otherwise computed here.
+    gradient, bias gradient and delta (rows of `x` by layer width), any of
+    them None; the gradients are written there. A delta buffer may be the
+    layer's pre-activations in `cache`, which are not read here.
     """
     batch = x.shape[-2]
-    if reg_scale is None:
-        reg_scale = 1.0 / batch
     _, acts = cache if cache is not None else _forward_full(layers, x)
     n = len(layers)
-    if penalty is None:
-        reg_scale = np.expand_dims(reg_scale, (-2, -1))
-        penalty = [_penalty_grad(layer.weights, config, reg_scale) for layer in layers]
     out = out or [(None,) * 3] * n
     last = layers[-1]
     delta = np.subtract(acts[-1], targets, out=out[-1][2])
@@ -436,11 +423,7 @@ def _backprop(layers, x, targets, config, reg_scale=None, cache=None, out=None, 
     for i in range(n - 1, -1, -1):
         w_buf, b_buf, _ = out[i]
         below = x if i == 0 else acts[i - 1]
-        gw = grads_w[i] = np.matmul(delta.swapaxes(-1, -2), below, out=w_buf)
-        # added over each member's weights as one row: numpy steps through a
-        # strided 3-D view several times slower than through its 2-D form
-        flat = gw.reshape(gw.shape[:-2] + (-1,))
-        flat += penalty[i].reshape(flat.shape)
+        grads_w[i] = np.matmul(delta.swapaxes(-1, -2), below, out=w_buf)
         grads_b[i] = delta.sum(axis=-2, out=b_buf)
         if i > 0:
             delta = np.matmul(delta, layers[i].weights, out=out[i - 1][2])
@@ -536,10 +519,15 @@ def _resolve_training_arrays(net: Network, data):
     return x, targets, labels
 
 
-def _flat(pairs) -> np.ndarray:
-    """One vector from per-layer (weights, biases) pairs: layer by layer,
-    weights (row-major) before biases."""
-    return np.concatenate([a.ravel() for pair in pairs for a in pair])
+def _flat(layers) -> np.ndarray:
+    """One parameter vector from `layers`: every layer's weights (row-major), then
+    every layer's biases, so the weights are one slice, of `_weight_count` entries."""
+    return np.concatenate([layer.weights.ravel() for layer in layers] + [layer.biases.ravel() for layer in layers])
+
+
+def _weight_count(layers) -> int:
+    """The number of weights of one network of `layers`: `_flat`'s weight slice length."""
+    return sum(math.prod(layer.weights.shape[-2:]) for layer in layers)
 
 
 def _layer_views(params, layers) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -547,12 +535,12 @@ def _layer_views(params, layers) -> list[tuple[np.ndarray, np.ndarray]]:
     `_flat`'s, shaped like `layers`; a leading axis of `params` (one row per
     network of a stack) leads every view."""
     lead = params.shape[:-1]
-    views, offset = [], 0
+    views, w_at, b_at = [], 0, _weight_count(layers)
     for layer in layers:
         rows, cols = layer.weights.shape[-2:]
-        end = offset + rows * cols
-        views.append((params[..., offset:end].reshape(lead + (rows, cols)), params[..., end : end + rows]))
-        offset = end + rows
+        weights = params[..., w_at : w_at + rows * cols].reshape(lead + (rows, cols))
+        views.append((weights, params[..., b_at : b_at + rows]))
+        w_at, b_at = w_at + rows * cols, b_at + rows
     return views
 
 
@@ -560,7 +548,7 @@ def _share_parameters(net: Network):
     """Move every weight and bias of `net` into one float64 vector laid out
     like `_flat`'s and make each layer's arrays views of it; returns the vector.
     """
-    params = _flat((layer.weights, layer.biases) for layer in net.layers)
+    params = _flat(net.layers)
     for layer, (weights, biases) in zip(net.layers, _layer_views(params, net.layers)):
         layer.weights, layer.biases = weights, biases
     return params
@@ -705,17 +693,16 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
         rng = np.random.default_rng(member_config.seed + 1)
         stack.append(_Member(j, *(member_rows[idx] for idx in split), rng))
 
-    # Elementwise work on whole (k, P) rows costs a third of the same work on
-    # strided per-layer views, so the penalty and its gradient are computed
-    # over rows (biases included, then ignored), with each member's penalty
-    # scale repeated along its row. `grad` doubles as scratch before
-    # _backprop fills it and after Adam's second moment has read it.
-    params = np.stack([_flat((layer.weights, layer.biases) for layer in net.layers) for net in nets])
+    # The penalty and its gradient are one operation each on the leading
+    # `n_weights` columns. `spare` holds the penalty gradient until it is added,
+    # then is Adam's scratch; `grad` is scratch before _backprop fills it and
+    # after Adam's second moment has read it.
+    params = np.stack([_flat(net.layers) for net in nets])
+    n_weights = _weight_count(first.layers)
     adam_m, adam_v, best = np.zeros_like(params), np.zeros_like(params), params.copy()
-    reg_scale = np.repeat([[1.0 / len(m.train_rows)] for m in stack], params.shape[1], axis=1)
+    reg_scale = np.array([[1.0 / len(m.train_rows)] for m in stack])
     grad, spare = np.empty_like(params), np.empty_like(params)
     weights, grads = _layer_views(params, first.layers), _layer_views(grad, first.layers)
-    spare_w = [w for w, _ in _layer_views(spare, first.layers)]
     # per layer, pre-activations (overwritten by the deltas) and activations
     # of K full batches; a step uses the leading rows
     buffers = [[np.empty((len(nets) * config.batch_size, b.shape[-1])) for _ in range(2)] for _, b in weights]
@@ -732,10 +719,9 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
         rows move by copying, so views made once stay valid."""
         at, k = slice(lo, hi), hi - lo
         forward_out = list(zip(leading(k, n, 0), leading(k, n, 1)))
-        magnitudes = [(abs_w[at], square_w[at]) for abs_w, (square_w, _) in zip(spare_w, grads)]
         backprop_out = [(gw[at], gb[at], delta) for (gw, gb), delta in zip(grads, leading(k, n, 0))]
         rows_of = [arr[at] for arr in (params, adam_m, adam_v, grad, spare, reg_scale)]
-        return views(at), forward_out, magnitudes, backprop_out, [w[at] for w in spare_w], rows_of
+        return views(at), forward_out, backprop_out, rows_of
 
     def reorder(perm):
         """Row r takes what row perm[r] held; rows past len(perm) drop out."""
@@ -745,22 +731,22 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
         stack[:] = [stack[p] for p in perm]
 
     def step(lo, hi, n, c1, c2):
-        layers, forward_out, magnitudes, backprop_out, penalty, (p, first_moment, second_moment, g, sp, reg) = plan(lo, hi, n)
+        layers, forward_out, backprop_out, (p, first_moment, second_moment, g, sp, reg) = plan(lo, hi, n)
         group = stack[lo:hi]
         idx = np.array([m.order[m.pos : m.pos + n] for m in group])
         xb, tb = np.take(x, idx, axis=0), np.take(targets, idx, axis=0)
+        w, penalty = p[:, :n_weights], sp[:, :n_weights]
         terms = []
         # a diverging step overflows here; the check below is its one report
         with np.errstate(over="ignore", invalid="ignore"):
             zs_acts = _forward_full(layers, xb, out=forward_out, terms=terms)
-            np.abs(p, out=sp)
-            np.multiply(p, p, out=g)
-            loss = _loss(layers, *zs_acts, tb, config, reg[:, 0], magnitudes, terms)
+            loss = _data_loss(*zs_acts, tb, config, terms) + _penalty(w, config.l1, config.l2, penalty) * reg[:, 0]
         if not np.isfinite(loss).all():
             m = group[int(np.argmin(np.isfinite(loss)))]
             raise TrainingError(f"non-finite loss at epoch {len(m.loss_history) + 1}, batch {m.pos // config.batch_size}")
-        _penalty_grad(p, config, reg, sp, g)
-        _backprop(layers, xb, tb, config, reg[:, 0], zs_acts, backprop_out, penalty)
+        _penalty_grad(w, config, reg, penalty, g[:, :n_weights])
+        _backprop(layers, xb, tb, config, zs_acts, backprop_out)
+        g[:, :n_weights] += penalty
         for m, value in zip(group, loss.tolist()):
             m.epoch_loss += value * n
             m.pos += n
@@ -825,10 +811,13 @@ def numerical_gradient_check(net: Network, x, targets, config=None, epsilon: flo
     targets = np.asarray(targets, dtype=np.float64)
     model = net.copy()
     params = _share_parameters(model)
-    analytic = _flat(zip(*_backprop(model.layers, x, targets, config)))
+    n_weights = _weight_count(model.layers)
+    analytic = np.empty_like(params)
+    _backprop(model.layers, x, targets, config, out=[(w, b, None) for w, b in _layer_views(analytic, model.layers)])
+    analytic[:n_weights] += _penalty_grad(params[:n_weights], config, 1.0 / x.shape[0])
 
-    at_kink = _flat((np.abs(layer.weights) <= epsilon, np.zeros(layer.out_units, dtype=bool)) for layer in model.layers)
-    at_kink &= config.l1 > 0
+    at_kink = (np.abs(params) <= epsilon) & (config.l1 > 0)
+    at_kink[n_weights:] = False
     checked = np.flatnonzero(~at_kink)
     max_err = 0.0
     for k in checked:

@@ -455,12 +455,20 @@ class TestInputErrors:
         err = self.run(tmp_path, capsys, self.rules_argv(command, synth_dir, rules))
         assert err == f"hornnet: error: {rules}: {message}\n"
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_rule_input_missing_from_the_columns(self, tmp_path, synth_dir, capsys, command):
+        rules = tmp_path / "unknown.rules"
+        rules.write_text("Final_score :- Loop, Missing.\n")
+        err = self.run(tmp_path, capsys, self.rules_argv(command, synth_dir, rules))
+        data = synth_dir / "train.csv"
+        assert err == f"hornnet: error: {rules}: rule inputs missing from the columns of {data}: ['Missing']\n"
+
     @pytest.mark.parametrize("augmenter", ["smote", "balance_with_autoencoder"])
     @pytest.mark.parametrize(
         "text, message",
         [
             ("Final_score :- CT_concepts CT_skills.\n", "{rules}: line 1, column 28: expected '.', found 'CT_skills'"),
-            ("Final_score :- Loop, Missing.\n", "rule inputs missing from feature_names: ['Missing']"),
+            ("Final_score :- Loop, Missing.\n", "{rules}: rule inputs missing from the columns of {data}: ['Missing']"),
         ],
         ids=["syntax", "compile"],
     )
@@ -468,7 +476,7 @@ class TestInputErrors:
         rules = tmp_path / "bad.rules"
         rules.write_text(text)
         argv = self.rules_argv("train", synth_dir, rules)
-        want = f"hornnet: error: {message.format(rules=rules)}\n"
+        want = f"hornnet: error: {message.format(rules=rules, data=synth_dir / 'train.csv')}\n"
         assert self.run(tmp_path, capsys, argv) == want
 
         def no_augmenter(*args, **kwargs):

@@ -8,6 +8,7 @@ from hornnet.rulelang import (
     Literal,
     ParseError,
     RuleError,
+    RuleSet,
     evaluate_boolean,
     format_rules,
     parse_rules,
@@ -124,6 +125,24 @@ class TestRewrite:
                 original = evaluate_boolean(rules, assignment)
                 new = evaluate_boolean(rewritten, assignment)
                 assert all(new[h] == v for h, v in original.items())
+
+    def test_clause_added_to_a_rewritten_head(self):
+        # the new clause gets the next intermediate; the rewritten OR branches stay
+        once = rewrite_disjuncts(parse_rules("H :- A.\nH :- B.\n"))
+        out = rewrite_disjuncts(RuleSet(once.clauses + (HornClause("H", (Literal("C"),)),)))
+        assert [str(c) for c in out.clauses] == [
+            "H :- H__d1.",
+            "H :- H__d2.",
+            "H :- H__d3.",
+            "H__d3 :- C.",
+            "H__d1 :- A.",
+            "H__d2 :- B.",
+        ]
+        assert rewrite_disjuncts(out) == out
+        want = parse_rules("H :- A.\nH :- B.\nH :- C.\n")
+        for bits in itertools.product([False, True], repeat=3):
+            assignment = dict(zip("ABC", bits))
+            assert evaluate_boolean(out, assignment)["H"] == evaluate_boolean(want, assignment)["H"]
 
     def test_idempotent(self):
         rng = np.random.default_rng(77)

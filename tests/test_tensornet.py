@@ -143,17 +143,16 @@ class TestForward:
         layers = net.layers
         if stacked:  # two members with the same weights
             layers = [tensornet._LayerView(np.stack([l.weights] * 2), np.stack([l.biases] * 2), l.activation) for l in layers]
-        config, reg = TrainConfig(l1=1e-3, l2=1e-3), np.full(2, 0.1) if stacked else 0.1
+        config = TrainConfig()
         terms = []
         zs, acts = tensornet._forward_full(layers, x, terms=terms)
         z = zs[-1]
         m = z.max(axis=-1, keepdims=True)
         s = np.exp(z - m).sum(axis=-1, keepdims=True)
         assert [t.tobytes() for t in terms] == [m.tobytes(), s.tobytes()]
-        data = -(targets * (z - (m + np.log(s)))).sum(axis=(-2, -1)) / z.shape[-2]
-        want = np.asarray(data + tensornet._penalty(layers, config.l1, config.l2) * reg).tobytes()
-        assert np.asarray(tensornet._loss(layers, zs, acts, targets, config, reg, terms=terms)).tobytes() == want
-        assert np.asarray(tensornet._loss(layers, zs, acts, targets, config, reg)).tobytes() == want
+        want = (-(targets * (z - (m + np.log(s)))).sum(axis=(-2, -1)) / z.shape[-2]).tobytes()
+        assert np.asarray(tensornet._data_loss(zs, acts, targets, config, terms=terms)).tobytes() == want
+        assert np.asarray(tensornet._data_loss(zs, acts, targets, config)).tobytes() == want
 
     def test_softmax_terms_come_from_the_final_layer_only(self):
         net = build_network(4, [(3, "softmax"), (2, "linear")], seed=6)
@@ -550,10 +549,10 @@ def _reference_train(net, data, config):
             batch_idx = order[start : start + config.batch_size]
             xb, tb = x_tr[batch_idx], t_tr[batch_idx]
             epoch_loss += tensornet.total_loss(model, xb, tb, config, reg_scale) * len(batch_idx)
-            grads_w, grads_b = tensornet._backprop(model.layers, xb, tb, config, reg_scale)
+            grads_w, grads_b = tensornet._backprop(model.layers, xb, tb, config)
             step += 1
             for i, layer in enumerate(model.layers):
-                gw, gb = grads_w[i], grads_b[i]
+                gw, gb = grads_w[i] + tensornet._penalty_grad(layer.weights, config, reg_scale), grads_b[i]
                 mw, mb = adam_m[i]
                 vw, vb = adam_v[i]
                 mw[...] = b1 * mw + (1 - b1) * gw
@@ -594,6 +593,43 @@ def _worsening_validation_case():
     targets[val_idx] = -1.0
     net = build_network(1, [(1, "linear")], seed=0, output_names=["y"])
     return net, (x, targets), TrainConfig(seed=0, loss="mean_squared_error", patience=2, max_epochs=50)
+
+
+class TestParameterLayout:
+    """A parameter vector holds every layer's weights, then every layer's biases."""
+
+    def test_every_weight_before_every_bias(self):
+        net, rng = build_mlp(4, [6, 5], 3, seed=7), np.random.default_rng(7)
+        for layer in net.layers:
+            layer.biases[...] = rng.normal(size=layer.out_units)
+        params, n = tensornet._flat(net.layers), tensornet._weight_count(net.layers)
+        assert n == sum(layer.weights.size for layer in net.layers)
+        assert params[:n].tobytes() == np.concatenate([layer.weights.ravel() for layer in net.layers]).tobytes()
+        assert params[n:].tobytes() == np.concatenate([layer.biases for layer in net.layers]).tobytes()
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_layer_views_write_through(self, members):
+        # one net's vector, or a stack's (members, P) rows
+        nets = [build_mlp(4, [6, 5], 3, seed=s) for s in range(members)]
+        params = np.stack([tensornet._flat(net.layers) for net in nets])
+        if members == 1:
+            params = params[0]
+        views = tensornet._layer_views(params, nets[0].layers)
+        for (weights, biases), layers in zip(views, zip(*(net.layers for net in nets))):
+            assert weights.tobytes() == np.stack([layer.weights for layer in layers]).tobytes()
+            assert biases.tobytes() == np.stack([layer.biases for layer in layers]).tobytes()
+        for weights, biases in views:
+            weights[...], biases[...] = -1.0, -2.0
+        n = tensornet._weight_count(nets[0].layers)
+        assert (params[..., :n] == -1.0).all() and (params[..., n:] == -2.0).all()
+
+    def test_stack_penalty_is_each_members_own(self):
+        nets = [build_mlp(9, [50, 50], 2, seed=s) for s in range(4)]
+        n = tensornet._weight_count(nets[0].layers)
+        params = np.stack([tensornet._flat(net.layers) for net in nets])
+        rows = tensornet._penalty(params[:, :n], 0.7, 1.3, np.empty((4, n)))
+        for row, net in zip(rows, nets):
+            assert row.tobytes() == np.float64(tensornet._penalty(tensornet._flat(net.layers)[:n], 0.7, 1.3)).tobytes()
 
 
 class TestFlatParameterTraining:
