@@ -248,7 +248,10 @@ def _cmd_train(args, out: Path) -> tuple[list[Path], list[Path]]:
         inputs.append(Path(args.rules))
         compile_config = kbann.CompileConfig(omega=args.omega, seed=args.seed)
         rules = _read_rules(args.rules, args.data, data.feature_names)
-        net = kbann.compile_rules(rules, data.feature_names, CLASSES, compile_config)
+        try:
+            net = kbann.compile_rules(rules, data.feature_names, CLASSES, compile_config)
+        except kbann.CompileError as exc:
+            raise ValueError(f"{args.rules}: {exc}") from None
     else:
         net = evalharness.build_baseline(data, args.seed)
     if args.augment == "smote":
@@ -349,9 +352,12 @@ def _cmd_compare(args, out: Path) -> tuple[list[Path], list[Path]]:
     # run_comparison matches the columns too; here a missing one names the file
     test_data = datakit._match_columns(datakit.load_csv(args.test_path), train_data.feature_names, args.test_path)
     rules = _read_rules(args.rules, args.train_path, train_data.feature_names)
-    report = evalharness.run_comparison(
-        train_data, test_data, rules, master_seed=args.seed, cv_folds=args.cv_folds
-    )
+    try:  # a CompileError here comes only from compiling the rules
+        report = evalharness.run_comparison(
+            train_data, test_data, rules, master_seed=args.seed, cv_folds=args.cv_folds
+        )
+    except kbann.CompileError as exc:
+        raise ValueError(f"{args.rules}: {exc}") from None
     (out / "report.json").write_text(evalharness.report_to_json(report), encoding="utf-8")
     (out / "report.txt").write_text(evalharness.render_report_text(report), encoding="utf-8")
     print(evalharness.render_metrics_table(report.test_metrics), end="")

@@ -156,11 +156,12 @@ def _disjunction_band(omega, parts_bands) -> _Band:
 def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig | None = None) -> Network:
     """Build an initialized network whose labeled units realize the rules.
 
-    Takes any rule set, parsed or rewritten, with one root head and every rule
-    input in `feature_names`. After its `rewrite_disjuncts`, a head with several
-    clauses is an OR over their intermediates, any other head an AND. `classes`
-    is (negative, positive); the root unit drives the positive output. The net
-    keeps `rules`, as given, in `Network.rules`.
+    Takes any rule set, parsed or rewritten, with one root head, every rule
+    input in `feature_names` and no head among them. After its
+    `rewrite_disjuncts`, a head with several clauses is an OR over their
+    intermediates, any other head an AND. `classes` is (negative, positive);
+    the root unit drives the positive output. The net keeps `rules`, as given,
+    in `Network.rules`.
     """
     config = config or CompileConfig()
     omega = config.omega
@@ -174,6 +175,8 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
     unknown = rules.inputs - set(feature_names)
     if unknown:
         raise CompileError(f"rule inputs missing from feature_names: {sorted(unknown)}")
+    if clashing := sorted(set(rules.heads) & set(feature_names)):
+        raise CompileError(f"rule heads name feature columns: {clashing}")
     root = next(iter(rules.roots))
 
     # Level of each symbol: features at 0, heads one above their deepest antecedent.

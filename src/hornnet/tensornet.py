@@ -15,7 +15,6 @@ import json
 import math
 import zipfile
 import zlib
-from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import groupby, repeat
@@ -180,9 +179,6 @@ class Network:
     @property
     def output_dim(self) -> int:
         return self.layers[-1].out_units
-
-    def copy(self) -> "Network":
-        return deepcopy(self)
 
 
 def build_network(input_dim, layer_specs, seed, input_names=None, output_names=None) -> Network:
@@ -544,14 +540,11 @@ def _layer_views(params, layers) -> list[tuple[np.ndarray, np.ndarray]]:
     return views
 
 
-def _share_parameters(net: Network):
-    """Move every weight and bias of `net` into one float64 vector laid out
-    like `_flat`'s and make each layer's arrays views of it; returns the vector.
-    """
-    params = _flat(net.layers)
-    for layer, (weights, biases) in zip(net.layers, _layer_views(params, net.layers)):
-        layer.weights, layer.biases = weights, biases
-    return params
+def _with_parameters(net: Network, params) -> Network:
+    """`net` with new layers whose weights and biases are views of `params`, a
+    vector laid out like `_flat`'s, and with its own copy of `input_bounds`."""
+    layers = [Layer(w, b, layer.activation) for (w, b), layer in zip(_layer_views(params, net.layers), net.layers)]
+    return replace(net, layers=layers, input_bounds=net.input_bounds.copy())
 
 
 class _LayerView(NamedTuple):
@@ -639,7 +632,7 @@ def _adam_step(params, m, v, grad, c1, c2, learning_rate, t1, t2):
 
 
 def train(net: Network, data, config: TrainConfig) -> tuple[Network, TrainReport]:
-    """Train a private copy of `net`; returns the best-validation-epoch weights.
+    """Train `net`'s parameters; returns a new network of the best-validation-epoch weights.
 
     `data` is a Dataset, whose targets are its labels one-hot over
     `net.output_names` and whose columns are read by name, or an
@@ -780,8 +773,7 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
                 if snapshot:
                     best[r] = params[r]
                 if stop:
-                    model = nets[m.index].copy()
-                    _share_parameters(model)[...] = best[r]
+                    model = _with_parameters(nets[m.index], best[r].copy())
                     report = TrainReport(len(m.loss_history), m.loss_history, m.score_history, m.stopped_early, m.best_epoch)
                     results[m.index] = (model, report)
                     continue
@@ -809,8 +801,8 @@ def numerical_gradient_check(net: Network, x, targets, config=None, epsilon: flo
     config = config or TrainConfig()
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    model = net.copy()
-    params = _share_parameters(model)
+    params = _flat(net.layers)
+    model = _with_parameters(net, params)
     n_weights = _weight_count(model.layers)
     analytic = np.empty_like(params)
     _backprop(model.layers, x, targets, config, out=[(w, b, None) for w, b in _layer_views(analytic, model.layers)])

@@ -463,6 +463,21 @@ class TestInputErrors:
         data = synth_dir / "train.csv"
         assert err == f"hornnet: error: {rules}: rule inputs missing from the columns of {data}: ['Missing']\n"
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("A :- Loop.\nB :- Debug.\n", "exactly one root head is required, found ['A', 'B']"),
+            ("Final_score :- Loop, Debug.\nLoop :- Arrow.\n", "rule heads name feature columns: ['Loop']"),
+        ],
+        ids=["two_roots", "head_names_a_column"],
+    )
+    def test_compile_error_names_the_rule_file(self, tmp_path, synth_dir, capsys, command, text, message):
+        rules = tmp_path / "bad.rules"
+        rules.write_text(text)
+        err = self.run(tmp_path, capsys, self.rules_argv(command, synth_dir, rules))
+        assert err == f"hornnet: error: {rules}: {message}\n"
+
     @pytest.mark.parametrize("augmenter", ["smote", "balance_with_autoencoder"])
     @pytest.mark.parametrize(
         "text, message",

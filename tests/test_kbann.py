@@ -116,6 +116,12 @@ class TestCompileExact:
         with pytest.raises(CompileError, match="missing from feature_names"):
             compile_rules(ct_rules, ["Conditional", "Loop"], ["Low", "High"])
 
+    def test_head_naming_a_feature_rejected(self):
+        # the compiled Loop unit would stand in for the Loop column
+        rules = parse_rules("Final_score :- Loop, Debug.\nLoop :- Arrow.")
+        with pytest.raises(CompileError, match=r"^rule heads name feature columns: \['Loop'\]$"):
+            compile_rules(rules, ["Arrow", "Loop", "Debug"], ["Low", "High"])
+
     def test_multiple_roots_rejected(self):
         rules = parse_rules("A :- X.\nB :- Y.")
         with pytest.raises(CompileError, match="root"):

@@ -1,3 +1,4 @@
+import copy
 import json
 import tracemalloc
 import zipfile
@@ -277,11 +278,21 @@ class TestInputBounds:
         with pytest.raises(ValueError, match="input_bounds"):
             replace(build_mlp(3, [4], 2, seed=1), input_bounds=bounds)
 
-    def test_copy_owns_its_bounds(self):
-        net = replace(build_mlp(3, [4], 2, seed=1), input_bounds=self.BOUNDS)
-        clone = net.copy()
-        clone.input_bounds[0, 1] = 99.0
-        assert net.input_bounds[0, 1] == 10.0
+    def test_trained_nets_own_their_arrays(self, toy_dataset):
+        # a trained net's layers view its own parameter row, and its bounds are its own
+        net = build_mlp(3, [4], 2, seed=1, input_names=toy_dataset.feature_names, class_names=["Low", "High"])
+        net = replace(net, input_bounds=self.BOUNDS)
+        configs = [TrainConfig(seed=s, max_epochs=3) for s in (1, 2, 3)]
+        trained = [train(net, toy_dataset, configs[0])[0]]
+        trained += [model for model, _ in train_stack([net] * 3, toy_dataset, configs)]
+
+        def arrays(n):
+            return [n.input_bounds] + [a for layer in n.layers for a in (layer.weights, layer.biases)]
+
+        for i, model in enumerate(trained):
+            assert np.array_equal(model.input_bounds, net.input_bounds)
+            for other in [net] + trained[i + 1 :]:
+                assert not any(np.shares_memory(a, b) for a in arrays(model) for b in arrays(other))
 
 
 class TestPredictor:
@@ -530,7 +541,7 @@ def _reference_train(net, data, config):
     best-epoch snapshot and restore."""
     x, targets, labels = tensornet._resolve_training_arrays(net, data)
     x = scale(x, net.input_bounds)
-    model = net.copy()
+    model = copy.deepcopy(net)
     train_idx, val_idx = validation_split(x.shape[0], config.validation_fraction, config.seed, labels)
     x_tr, t_tr = x[train_idx], targets[train_idx]
     x_val, t_val = x[val_idx], targets[val_idx]
