@@ -142,10 +142,8 @@ def _add_common(sub, *, seed=True):
     sub.add_argument("--config", default=None, help="JSON file with flag defaults")
 
 
-_SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `hornnet` parser and its subcommands' parsers by name."""
     parser = _Parser(
         prog="hornnet",
         description=__doc__.splitlines()[0],
@@ -163,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--rules", default=None, help="rule file (required for --model nsai)")
-    p.add_argument("--model", choices=("baseline", "nsai"), default=None)
+    p.add_argument("--rules", default=None, help="rule file: train the knowledge (nsai) model on it, not the baseline")
     p.add_argument("--augment", choices=("none", "smote", "autoencoder"), default="none")
     p.add_argument("--learning-rate", type=_non_negative, default=0.03, dest="learning_rate")
     p.add_argument("--max-epochs", type=_positive_int, default=500, dest="max_epochs")
@@ -195,9 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv-folds", type=_fold_count, default=10, dest="cv_folds")
     _add_common(p)
 
-    _SUBPARSERS.clear()
-    _SUBPARSERS.update(sub.choices)
-    return parser
+    return parser, sub.choices
 
 
 # --------------------------------------------------------------------------
@@ -207,17 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
-def _read_rules(path, data_path, columns):
-    """The rule set in the file at `path`; text that is not UTF-8 or not a valid rule
-    set, or an input not among `columns`, those of the CSV at `data_path`, is an
-    error that names the files."""
+def _read_rules(path, data_path, columns, config: kbann.CompileConfig):
+    """The rule set in the file at `path` and its net compiled under `config` over
+    `columns`, those of the CSV at `data_path`. Text that is not UTF-8, not a valid
+    rule set or not compilable, or an input not among `columns`, is an error that
+    names the files."""
     try:
         rules = parse_rules(Path(path).read_text(encoding="utf-8-sig"))
-    except (UnicodeDecodeError, RuleError) as exc:
+        if missing := sorted(rules.inputs - set(columns)):
+            raise kbann.CompileError(f"rule inputs missing from the columns of {data_path}: {missing}")
+        return rules, kbann.compile_rules(rules, columns, CLASSES, config)
+    except (UnicodeDecodeError, RuleError, kbann.CompileError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if missing := sorted(rules.inputs - set(columns)):
-        raise ValueError(f"{path}: rule inputs missing from the columns of {data_path}: {missing}")
-    return rules
 
 
 def _cmd_synth(args, out: Path) -> tuple[list[Path], list[Path]]:
@@ -238,20 +234,14 @@ def _cmd_synth(args, out: Path) -> tuple[list[Path], list[Path]]:
 
 
 def _cmd_train(args, out: Path) -> tuple[list[Path], list[Path]]:
-    model_kind = args.model or ("nsai" if args.rules else "baseline")
-    if model_kind == "nsai" and not args.rules:
-        raise _UsageError("--model nsai requires --rules")
+    model_kind = "nsai" if args.rules else "baseline"
     inputs = [Path(args.data)]
 
     data = datakit.load_csv(args.data)
-    if model_kind == "nsai":  # a bad rule file fails before any augmentation
+    if args.rules:  # a bad rule file fails before any augmentation
         inputs.append(Path(args.rules))
         compile_config = kbann.CompileConfig(omega=args.omega, seed=args.seed)
-        rules = _read_rules(args.rules, args.data, data.feature_names)
-        try:
-            net = kbann.compile_rules(rules, data.feature_names, CLASSES, compile_config)
-        except kbann.CompileError as exc:
-            raise ValueError(f"{args.rules}: {exc}") from None
+        _, net = _read_rules(args.rules, args.data, data.feature_names, compile_config)
     else:
         net = evalharness.build_baseline(data, args.seed)
     if args.augment == "smote":
@@ -351,13 +341,9 @@ def _cmd_compare(args, out: Path) -> tuple[list[Path], list[Path]]:
     train_data = datakit.load_csv(args.train_path)
     # run_comparison matches the columns too; here a missing one names the file
     test_data = datakit._match_columns(datakit.load_csv(args.test_path), train_data.feature_names, args.test_path)
-    rules = _read_rules(args.rules, args.train_path, train_data.feature_names)
-    try:  # a CompileError here comes only from compiling the rules
-        report = evalharness.run_comparison(
-            train_data, test_data, rules, master_seed=args.seed, cv_folds=args.cv_folds
-        )
-    except kbann.CompileError as exc:
-        raise ValueError(f"{args.rules}: {exc}") from None
+    # run_comparison compiles at this default omega, and no compile error depends on the seed
+    rules, _ = _read_rules(args.rules, args.train_path, train_data.feature_names, kbann.CompileConfig())
+    report = evalharness.run_comparison(train_data, test_data, rules, master_seed=args.seed, cv_folds=args.cv_folds)
     (out / "report.json").write_text(evalharness.report_to_json(report), encoding="utf-8")
     (out / "report.txt").write_text(evalharness.render_report_text(report), encoding="utf-8")
     print(evalharness.render_metrics_table(report.test_metrics), end="")
@@ -375,11 +361,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, subparsers = build_parser()
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = parser.parse_args(argv)
-        _resolve(args, _SUBPARSERS[args.command], argv[argv.index(args.command) + 1 :])
+        _resolve(args, subparsers[args.command], argv[argv.index(args.command) + 1 :])
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         inputs, outputs = _COMMANDS[args.command](args, out)

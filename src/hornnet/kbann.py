@@ -157,7 +157,8 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
     """Build an initialized network whose labeled units realize the rules.
 
     Takes any rule set, parsed or rewritten, with one root head, every rule
-    input in `feature_names` and no head among them. After its
+    input in `feature_names` and no head among them or among the labels of the
+    units it adds (the extra units' `head<N>` and `classes`). After its
     `rewrite_disjuncts`, a head with several clauses is an OR over their
     intermediates, any other head an AND. `classes` is (negative, positive);
     the root unit drives the positive output. The net keeps `rules`, as given,
@@ -184,6 +185,9 @@ def compile_rules(rules: RuleSet, feature_names, classes, config: CompileConfig 
     for head in rules.topological_heads:
         level[head] = 1 + max(level[lit.symbol] for c in rules.clauses_by_head[head] for lit in c.body)
     n_levels = level[root]
+    own = {f"head{i}" for i in range(1, n_levels * config.extra_hidden_per_level + 1)} | set(classes)
+    if clashing := sorted(set(rules.heads) & own):
+        raise CompileError(f"rule heads name the compiler's own units: {clashing}")
 
     # Level 0 holds the features, levels 1..n_levels the rule units and the
     # extra hidden units, level n_levels + 1 the output pair.

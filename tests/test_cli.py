@@ -2,6 +2,9 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import zipfile
 from dataclasses import replace
 from pathlib import Path
@@ -109,12 +112,38 @@ class TestTrain:
         assert report["effective_rows"] == 2 * max(datakit.load_csv(FIXTURE).class_counts().values())
         assert digest_dir(a) == digest_dir(b)
 
-    def test_nsai_without_rules_usage_error(self, tmp_path, synth_dir):
-        code = main([
-            "train", "--data", str(synth_dir / "train.csv"),
-            "--model", "nsai", "--out", str(tmp_path / "m"),
-        ])
-        assert code == 2
+    def test_model_flag_is_unknown(self, tmp_path, synth_dir, capsys):
+        # the model is nsai exactly when --rules is given
+        capsys.readouterr()
+        assert main(["train", "--data", str(synth_dir / "train.csv"), "--model", "nsai", "--out", str(tmp_path / "m")]) == 2
+        assert capsys.readouterr().err == "hornnet: error: unrecognized arguments: --model nsai\n"
+        assert not (tmp_path / "m" / "manifest.json").exists()
+        assert main(["train", "--help"]) == 0
+        assert "--model" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["env", "config"])
+    def test_rules_from_env_or_config_train_nsai(self, tmp_path, synth_dir, rules_file, monkeypatch, source):
+        argv = ["train", "--data", str(synth_dir / "train.csv"), "--max-epochs", "2"]
+        assert main(argv + ["--rules", str(rules_file), "--out", str(tmp_path / "flag")]) == 0
+        if source == "env":
+            monkeypatch.setenv("HORNNET_RULES", str(rules_file))
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"rules": str(rules_file)}))
+            argv += ["--config", str(cfg)]
+        out = tmp_path / source
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads((out / "train_report.json").read_text())["model"] == "nsai"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["inputs"]) == {str(synth_dir / "train.csv"), str(rules_file)}
+        assert (out / "model.npz").read_bytes() == (tmp_path / "flag" / "model.npz").read_bytes()
+
+    @pytest.mark.parametrize("model", ["baseline", "nsai"])
+    def test_manifest_args_hold_no_model(self, tmp_path, synth_dir, rules_file, model):
+        argv = ["train", "--data", str(synth_dir / "train.csv"), "--max-epochs", "2", "--out", str(tmp_path / "m")]
+        assert main(argv + (["--rules", str(rules_file)] if model == "nsai" else [])) == 0
+        args = json.loads((tmp_path / "m" / "manifest.json").read_text())["args"]
+        assert "model" not in args and args["rules"] == (str(rules_file) if model == "nsai" else None)
 
     def test_baseline_is_the_shared_builder_trained(self, tmp_path, synth_dir):
         out = tmp_path / "model"
@@ -128,15 +157,6 @@ class TestTrain:
         for got, want in zip(saved.layers, expected.layers):
             assert np.array_equal(got.weights, want.weights)
             assert np.array_equal(got.biases, want.biases)
-
-    def test_baseline_manifest_leaves_unused_rules_out(self, tmp_path, synth_dir, rules_file):
-        out = tmp_path / "model"
-        argv = ["train", "--data", str(synth_dir / "train.csv"), "--model", "baseline",
-                "--rules", str(rules_file), "--max-epochs", "2", "--out", str(out)]
-        assert main(argv) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert list(manifest["inputs"]) == [str(synth_dir / "train.csv")]
-        assert manifest["args"]["rules"] == str(rules_file)
 
     def test_non_finite_cell_is_runtime_error(self, tmp_path, synth_dir, capsys):
         path = tmp_path / "nan.csv"
@@ -153,7 +173,7 @@ class TestTrain:
         # a step size of 1e308 overflows the forward pass; the fixture's one-batch
         # epochs first overflow the validation pass, then the next epoch's step
         path, where = (synth_dir / "train.csv", "epoch 1, batch 1") if data == "synth" else (FIXTURE, "epoch 2, batch 0")
-        argv = ["train", "--data", str(path), "--model", model, "--rules", str(rules_file), "--learning-rate", "1e308"]
+        argv = ["train", "--data", str(path), "--learning-rate", "1e308"] + (["--rules", str(rules_file)] if model == "nsai" else [])
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "m")]) == 1
         assert capsys.readouterr().err == f"hornnet: error: non-finite loss at {where}\n"
@@ -469,14 +489,26 @@ class TestInputErrors:
         [
             ("A :- Loop.\nB :- Debug.\n", "exactly one root head is required, found ['A', 'B']"),
             ("Final_score :- Loop, Debug.\nLoop :- Arrow.\n", "rule heads name feature columns: ['Loop']"),
+            ("Final_score :- head1, Debug.\nhead1 :- Loop, Arrow.\n", "rule heads name the compiler's own units: ['head1']"),
+            ("Final_score :- High, Debug.\nHigh :- Loop, Arrow.\n", "rule heads name the compiler's own units: ['High']"),
         ],
-        ids=["two_roots", "head_names_a_column"],
+        ids=["two_roots", "head_names_a_column", "head_named_head1", "head_names_a_class"],
     )
     def test_compile_error_names_the_rule_file(self, tmp_path, synth_dir, capsys, command, text, message):
         rules = tmp_path / "bad.rules"
         rules.write_text(text)
         err = self.run(tmp_path, capsys, self.rules_argv(command, synth_dir, rules))
         assert err == f"hornnet: error: {rules}: {message}\n"
+
+    def test_compare_compiles_the_rules_itself(self, tmp_path, synth_dir, capsys, monkeypatch):
+        def no_comparison(*args, **kwargs):
+            raise AssertionError("evalharness.run_comparison called")
+
+        monkeypatch.setattr(evalharness, "run_comparison", no_comparison)
+        rules = tmp_path / "two.rules"
+        rules.write_text("A :- Loop.\nB :- Debug.\n")
+        err = self.run(tmp_path, capsys, self.rules_argv("compare", synth_dir, rules))
+        assert err == f"hornnet: error: {rules}: exactly one root head is required, found ['A', 'B']\n"
 
     @pytest.mark.parametrize("augmenter", ["smote", "balance_with_autoencoder"])
     @pytest.mark.parametrize(
@@ -622,6 +654,12 @@ class TestFlagResolution:
         assert main(["train", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: hornnet train [-h] --data DATA")
 
+    def test_runs_as_a_module(self):
+        src = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "hornnet.cli", "--version"], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (0, "hornnet 0.1.0\n")
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         code = main(["evaluate", "--model", str(tmp_path / "missing.npz"), "--data", str(FIXTURE), "--out", str(tmp_path)])
         assert code == 1
@@ -638,7 +676,7 @@ class TestFlagResolution:
             (["synth"], {"HORNNET_ROWS": "0"}, None),
             (["train", "--data", str(FIXTURE)], {"HORNNET_AUGMENT": "bogus"}, None),
             (["train", "--data", str(FIXTURE)], {}, {"augment": "smotee"}),
-            (["train", "--data", str(FIXTURE)], {"HORNNET_MODEL": "bogus"}, None),
+            (["train", "--data", str(FIXTURE)], {"HORNNET_MAX_EPOCHS": "0"}, None),
             (["train", "--data", str(FIXTURE), "--model", "nsai"], {}, None),
             (["explain", "--model", "m.npz", "--data", str(FIXTURE), "--samples", "10"], {}, None),
             (["train", "--data", str(FIXTURE), "--learning-rate", "-1"], {}, None),

@@ -363,6 +363,11 @@ class TestGenerator:
         assert abs(r_train - 0.887) < 0.03
         assert abs(r_test - 0.632) < 0.05
 
+    def test_point_biserial_of_a_constant_column_is_zero(self):
+        labels = np.array(["High", "Low", "High", "Low"], dtype=object)
+        assert point_biserial(np.full(4, 3.5), labels) == 0.0
+        assert point_biserial(np.arange(4.0), np.full(4, "High", dtype=object)) == 0.0
+
     @pytest.mark.parametrize("target, n_test", [(-0.5, 400), (-0.887, 400), (0.0, 400), (0.001, 85)])
     def test_negative_and_below_noise_targets_hit(self, target, n_test):
         # at seed 401 the noise alone correlates about +0.05 (400 rows) and +0.11 (85 rows)

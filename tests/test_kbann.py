@@ -122,6 +122,19 @@ class TestCompileExact:
         with pytest.raises(CompileError, match=r"^rule heads name feature columns: \['Loop'\]$"):
             compile_rules(rules, ["Arrow", "Loop", "Debug"], ["Low", "High"])
 
+    def test_head_naming_a_compiled_unit_rejected(self):
+        # two rule levels of three extra units each place head1..head6, and the
+        # output level the classes; a head of one of those labels would share it
+        features, classes = ["Loop", "Arrow", "Debug"], ["Low", "High"]
+        text = "Final_score :- {0}, Debug.\n{0} :- Loop, Arrow.\n"
+        for head in ("head1", "head6", "High", "Low"):
+            with pytest.raises(CompileError, match=rf"^rule heads name the compiler's own units: \['{head}'\]$"):
+                compile_rules(parse_rules(text.format(head)), features, classes)
+        for head, config in [("head7", None), ("head1", EXACT)]:
+            net = compile_rules(parse_rules(text.format(head)), features, classes, config)
+            labels = [label for layer in net.unit_labels for label in layer]
+            assert labels.count(head) == 1 and len(set(labels)) == len(labels)
+
     def test_multiple_roots_rejected(self):
         rules = parse_rules("A :- X.\nB :- Y.")
         with pytest.raises(CompileError, match="root"):

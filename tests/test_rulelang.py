@@ -194,6 +194,10 @@ class TestTypes:
             heads = set(rules.heads)
             assert rules.inputs.isdisjoint(heads)
 
+    def test_ruleset_repr_names_clause_count_and_roots(self):
+        rules = parse_rules("A :- B.\nA :- C.\nD :- not E.")
+        assert repr(rules) == "RuleSet(3 clauses, roots=['A', 'D'])"
+
     def test_clause_body_nonempty(self):
         with pytest.raises(RuleError):
             HornClause("A", ())
