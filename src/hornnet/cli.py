@@ -165,7 +165,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--augment", choices=("none", "smote", "autoencoder"), default="none")
     p.add_argument("--learning-rate", type=_non_negative, default=0.03, dest="learning_rate")
     p.add_argument("--max-epochs", type=_positive_int, default=500, dest="max_epochs")
-    p.add_argument("--omega", type=_positive, default=kbann.CompileConfig.omega)
+    p.add_argument("--omega", type=_positive, default=None, help=f"rule weight; needs a rule file (default {kbann.CompileConfig.omega:g})")
     _add_common(p)
 
     p = sub.add_parser("evaluate", help="evaluate a model file on a CSV")
@@ -234,12 +234,16 @@ def _cmd_synth(args, out: Path) -> tuple[list[Path], list[Path]]:
 
 
 def _cmd_train(args, out: Path) -> tuple[list[Path], list[Path]]:
+    if args.omega is not None and not args.rules:
+        raise _UsageError("--omega needs a rule file: only the knowledge model (--rules) has a rule weight")
     model_kind = "nsai" if args.rules else "baseline"
     inputs = [Path(args.data)]
 
     data = datakit.load_csv(args.data)
     if args.rules:  # a bad rule file fails before any augmentation
         inputs.append(Path(args.rules))
+        if args.omega is None:
+            args.omega = kbann.CompileConfig.omega
         compile_config = kbann.CompileConfig(omega=args.omega, seed=args.seed)
         _, net = _read_rules(args.rules, args.data, data.feature_names, compile_config)
     else:
@@ -285,8 +289,8 @@ def _scoring_inputs(args) -> tuple[tensornet.Network, datakit.Dataset]:
 
 def _cmd_evaluate(args, out: Path) -> tuple[list[Path], list[Path]]:
     net, data = _scoring_inputs(args)
-    preds = tensornet.predict_labels(net, data.rows).astype(str)
-    metrics = evalharness.compute_metrics(preds, data.labels.astype(str), CLASSES)
+    preds = tensornet.predict_labels(net, data.rows)
+    metrics = evalharness.compute_metrics(preds, data.labels, CLASSES)
     _write_json(out / "metrics.json", evalharness.metrics_to_dict(metrics))
     table = evalharness.render_metrics_table({"model": metrics})
     (out / "metrics.txt").write_text(table, encoding="utf-8")

@@ -119,7 +119,7 @@ class Dataset:
         return self.rows.shape[1]
 
     def class_counts(self) -> dict[str, int]:
-        values, counts = np.unique(self.labels.astype(str), return_counts=True)
+        values, counts = np.unique(self.labels, return_counts=True)
         return dict(zip(values.tolist(), counts.tolist()))
 
     def column(self, name: str) -> np.ndarray:
@@ -165,7 +165,7 @@ def _rescale(rows, lo, divisor, constant, out=None) -> np.ndarray:
 def one_hot(labels, classes) -> np.ndarray:
     classes = list(classes)
     labels = np.asarray(labels, dtype=object)
-    hits = labels.astype(str)[:, None] == np.asarray(classes)[None, :]
+    hits = labels[:, None] == np.asarray(classes)[None, :]
     known = hits.any(axis=1)
     if not known.all():
         raise DataError(f"label {labels[np.argmin(known)]!r} not in classes {classes}")
@@ -366,8 +366,7 @@ def _csv_row(cells) -> str:
 
 def _class_indices(labels) -> dict[str, np.ndarray]:
     labels = np.asarray(labels, dtype=object)
-    # map(str, ...) gives the names astype(str) would, without a numpy scalar per row
-    return {c: np.flatnonzero(labels == c) for c in sorted(set(map(str, labels)))}
+    return {c: np.flatnonzero(labels == c) for c in sorted(set(labels))}
 
 
 def _stratified_mask(labels, fraction: float, rng) -> np.ndarray:
@@ -447,7 +446,7 @@ class SynthConfig:
 
 def point_biserial(values: np.ndarray, labels) -> float:
     """Pearson correlation between a numeric column and labels encoded Low=0/High=1."""
-    y = (np.asarray(labels, dtype=object).astype(str) == POSITIVE_CLASS).astype(np.float64)
+    y = (np.asarray(labels, dtype=object) == POSITIVE_CLASS).astype(np.float64)
     x = np.asarray(values, dtype=float)
     if x.std() == 0 or y.std() == 0:
         return 0.0

@@ -91,11 +91,9 @@ def correlation_table(datasets: list[tuple[str, Dataset]]):
             raise ValueError(f"dataset {ds_name!r} needs at least 3 rows")
         for feat in features:
             col = data.column(feat)
+            table[feat][ds_name] = datakit.point_biserial(col, data.labels)
             if col.std() == 0:
-                table[feat][ds_name] = 0.0
                 flags.append((ds_name, feat))
-            else:
-                table[feat][ds_name] = datakit.point_biserial(col, data.labels)
     return table, flags
 
 
@@ -180,8 +178,8 @@ def _train_with_folds(builder, source: Dataset, seed: int, cv_seed: int, k: int)
     scores = []
     for (trained, _), (_, val_idx) in zip(fold_nets, folds):
         val = datakit.subset(source, val_idx)
-        preds = tensornet.predict_labels(trained, val.rows).astype(str)
-        scores.append(float((preds == val.labels.astype(str)).mean()))
+        preds = tensornet.predict_labels(trained, val.rows)
+        scores.append(float((preds == val.labels).mean()))
     return model, report, (float(np.mean(scores)), float(np.std(scores)))
 
 
@@ -216,7 +214,6 @@ def run_comparison(
     }
     correlations, flags = correlation_table(list(datasets.items()))
     models, train_reports, cv_accuracy, test_metrics, importances = {}, {}, {}, {}, {}
-    truth = test_data.labels.astype(str)
     for name, rows, build in MODEL_KINDS:
         models[name], train_reports[name], cv_accuracy[name] = _train_with_folds(
             _seeded_builder(build, train_data, rules, bounds),
@@ -225,8 +222,8 @@ def run_comparison(
             derive_seed(master_seed, f"cv-{name}"),
             cv_folds,
         )
-        preds = tensornet.predict_labels(models[name], test_data.rows).astype(str)
-        test_metrics[name] = compute_metrics(preds, truth, CLASSES)
+        preds = tensornet.predict_labels(models[name], test_data.rows)
+        test_metrics[name] = compute_metrics(preds, test_data.labels, CLASSES)
         importances[name] = kbann.permutation_importance(
             models[name],
             test_data,

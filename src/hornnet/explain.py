@@ -71,6 +71,10 @@ class GlobalExplanation:
 def _weighted_linear_fit(design, target, weights):
     a = design * weights[:, None]
     lhs = design.T @ a
+    if not lhs.diagonal().all():
+        # an all-zero design column (a constant feature) solves to exactly 0
+        zero = np.flatnonzero(lhs.diagonal() == 0)
+        lhs[zero, zero] = 1.0
     rhs = a.T @ target
     try:
         beta = np.linalg.solve(lhs, rhs)
@@ -113,7 +117,6 @@ def lime_explain(
     perturbed = instance + stds * rng.standard_normal((n_samples, d))
     safe = np.where(stds > 0, stds, 1.0)
     standardized = (perturbed - instance) / safe
-    standardized[:, stds == 0] = 0.0
     dist = np.sqrt((standardized**2).sum(axis=1))
     weights = np.exp(-(dist**2) / kernel_width**2)
 

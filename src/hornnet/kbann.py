@@ -447,13 +447,12 @@ def permutation_importance(net: Network, data: Dataset, feature: str, repeats: i
         raise ValueError(f"unknown feature {feature!r}")
     data = _match_columns(data, net.input_names, "data")
     col = data.feature_names.index(feature)
-    truth = data.labels.astype(str)
-    base = float((predict_labels(net, data.rows).astype(str) == truth).mean())
+    base = float((predict_labels(net, data.rows) == data.labels).mean())
     rng = np.random.default_rng(seed)
     drops = []
     for _ in range(repeats):
         shuffled = data.rows.copy()
         shuffled[:, col] = shuffled[rng.permutation(data.n_rows), col]
-        acc = float((predict_labels(net, shuffled).astype(str) == truth).mean())
+        acc = float((predict_labels(net, shuffled) == data.labels).mean())
         drops.append(base - acc)
     return float(np.mean(drops))

@@ -18,7 +18,6 @@ import zlib
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import groupby, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -104,31 +103,20 @@ def _activate(z, kind, out=None, terms=None):
 
 @dataclass
 class Layer:
-    """One dense layer: weights are (out_units, in_units)."""
+    """One dense layer: weights are (out_units, in_units), with a leading member
+    axis in a training stack. `Network` checks its layers."""
 
     weights: np.ndarray
     biases: np.ndarray
     activation: str
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ValueError("weights must be 2-D (out_units, in_units)")
-        self.biases = np.asarray(self.biases, dtype=np.float64).reshape(-1)
-        if self.biases.shape[0] != self.weights.shape[0]:
-            raise ValueError("bias length must equal out_units")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
-            raise ValueError("weights and biases must be finite")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
     @property
     def out_units(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def in_units(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
 
 @dataclass
@@ -150,6 +138,17 @@ class Network:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("a network needs at least one layer")
+        for layer in self.layers:
+            layer.weights = np.asarray(layer.weights, dtype=np.float64)
+            if layer.weights.ndim != 2:
+                raise ValueError("weights must be 2-D (out_units, in_units)")
+            layer.biases = np.asarray(layer.biases, dtype=np.float64).reshape(-1)
+            if layer.biases.shape[0] != layer.weights.shape[0]:
+                raise ValueError("bias length must equal out_units")
+            if not (np.isfinite(layer.weights).all() and np.isfinite(layer.biases).all()):
+                raise ValueError("weights and biases must be finite")
+            if layer.activation not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {layer.activation!r}")
         if self.layers[0].in_units != len(self.input_names):
             raise ValueError("input_names length must match first layer width")
         if self.input_bounds is None:
@@ -547,14 +546,6 @@ def _with_parameters(net: Network, params) -> Network:
     return replace(net, layers=layers, input_bounds=net.input_bounds.copy())
 
 
-class _LayerView(NamedTuple):
-    """A layer whose arrays view a parameter array, with a leading member axis for a stack."""
-
-    weights: np.ndarray
-    biases: np.ndarray
-    activation: str
-
-
 def _validation_score(layers, x, targets, loss) -> float:
     """Accuracy for cross-entropy, negated MSE otherwise."""
     out = _final_activations(layers, x)
@@ -703,8 +694,8 @@ def train_stack(nets, data, configs, rows=None) -> list[tuple[Network, TrainRepo
     def leading(k, n, which):
         return [bufs[which][: k * n].reshape(k, n, -1) for bufs in buffers]
 
-    def views(at) -> list[_LayerView]:
-        return [_LayerView(w[at], b[at], layer.activation) for (w, b), layer in zip(weights, first.layers)]
+    def views(at) -> list[Layer]:
+        return [Layer(w[at], b[at], layer.activation) for (w, b), layer in zip(weights, first.layers)]
 
     @cache
     def plan(lo, hi, n):

@@ -145,6 +145,13 @@ class TestTrain:
         args = json.loads((tmp_path / "m" / "manifest.json").read_text())["args"]
         assert "model" not in args and args["rules"] == (str(rules_file) if model == "nsai" else None)
 
+    def test_manifest_omega_is_the_compiled_rule_weight(self, tmp_path, rules_file):
+        argv = ["train", "--data", str(FIXTURE), "--max-epochs", "2"]
+        assert main(argv + ["--out", str(tmp_path / "baseline")]) == 0
+        assert main(argv + ["--rules", str(rules_file), "--out", str(tmp_path / "nsai")]) == 0
+        omega = {m: json.loads((tmp_path / m / "manifest.json").read_text())["args"]["omega"] for m in ("baseline", "nsai")}
+        assert omega == {"baseline": None, "nsai": 8.0}
+
     def test_baseline_is_the_shared_builder_trained(self, tmp_path, synth_dir):
         out = tmp_path / "model"
         argv = ["train", "--data", str(synth_dir / "train.csv"), "--seed", "7", "--max-epochs", "4"]
@@ -253,6 +260,22 @@ class TestEvaluateExplainExtract:
         mispredicted = json.loads((out / "mispredictions.json").read_text())
         assert len(mispredicted) > 0
         assert explained == list(range(data.n_rows))
+
+    def test_explain_of_a_constant_column_warns_nothing(self, tmp_path, baseline, synth_dir):
+        # its LIME importance is exactly 0, with no ridge retry and no log line
+        data = datakit.load_csv(synth_dir / "test.csv")
+        rows = data.rows.copy()
+        rows[:, data.feature_names.index("Arrow")] = 5.0
+        datakit.save_csv(replace(data, rows=rows), tmp_path / "const.csv")
+        out = tmp_path / "exp"
+        src = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        argv = ["explain", "--model", str(baseline), "--data", str(tmp_path / "const.csv"), "--samples", "60", "--out", str(out)]
+        done = subprocess.run([sys.executable, "-m", "hornnet.cli", *argv], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        payload = json.loads((out / "global_explanation.json").read_text())
+        assert payload["mean_abs"]["Arrow"] == 0.0 and payload["mean_signed"]["Arrow"] == 0.0
+        assert all(value > 0 for name, value in payload["mean_abs"].items() if name != "Arrow")
 
 
 def _save_columns(data: datakit.Dataset, order, path: Path) -> Path:
@@ -700,6 +723,10 @@ class TestFlagResolution:
             # a required flag comes from the command line only
             (["train"], {"HORNNET_DATA": str(FIXTURE)}, None),
             (["train"], {}, {"data": str(FIXTURE)}),
+            # omega without a rule file, rejected before the (missing) CSV is read
+            (["train", "--data", "missing.csv", "--omega", "3"], {}, None),
+            (["train", "--data", "missing.csv"], {"HORNNET_OMEGA": "3"}, None),
+            (["train", "--data", "missing.csv"], {}, {"omega": 3}),
         ],
     )
     def test_bad_values_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv, env, config):

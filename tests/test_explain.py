@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from hornnet.datakit import Dataset
 from hornnet.explain import (
     Explanation,
     FeatureStats,
+    _weighted_linear_fit,
     format_misprediction_table,
     global_explain,
     lime_explain,
@@ -64,12 +67,26 @@ class TestLime:
         assert exp.predicted == "High"
         assert abs(sum(exp.confidence) - 1.0) < 1e-9
 
-    def test_constant_feature_handled_by_ridge(self, caplog):
+    def test_constant_feature_importance_is_exactly_zero(self, caplog):
+        # its all-zero design column solves to 0 with no ridge retry
         model = logistic_model([1.0, 0.0])
         stats = FeatureStats(("x", "const"), np.array([1.0, 0.0]))
-        exp = lime_explain(model, np.zeros(2), stats, seed=3)
+        with caplog.at_level(logging.DEBUG, logger="hornnet.explain"):
+            exp = lime_explain(model, np.zeros(2), stats, seed=3)
         imp = {n: i for n, _v, i in exp.contributions}
-        assert abs(imp["const"]) < 1e-6
+        assert imp["const"] == 0.0 and imp["x"] > 0
+        assert caplog.records == []
+
+    def test_singular_design_retries_with_ridge(self, caplog):
+        # two identical non-zero columns make the normal matrix singular; with
+        # +-1 entries it is diag(64, [[64, 64], [64, 64]]), whose elimination is exact
+        col = np.resize([1.0, -1.0], 64)
+        design = np.column_stack([np.ones(64), col, col])
+        with caplog.at_level(logging.WARNING, logger="hornnet.explain"):
+            beta = _weighted_linear_fit(design, 0.5 + 2.0 * col, np.ones(64))
+        assert [r.getMessage() for r in caplog.records] == ["singular weighted design matrix; retrying with ridge damping 1e-6"]
+        assert np.isfinite(beta).all()
+        assert beta == pytest.approx([0.5, 1.0, 1.0])
 
     def test_sample_floor(self):
         stats = FeatureStats(("x",), np.ones(1))

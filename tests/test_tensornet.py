@@ -143,7 +143,7 @@ class TestForward:
         targets = np.eye(3)[rng.integers(3, size=x.shape[:-1])]
         layers = net.layers
         if stacked:  # two members with the same weights
-            layers = [tensornet._LayerView(np.stack([l.weights] * 2), np.stack([l.biases] * 2), l.activation) for l in layers]
+            layers = [Layer(np.stack([l.weights] * 2), np.stack([l.biases] * 2), l.activation) for l in layers]
         config = TrainConfig()
         terms = []
         zs, acts = tensornet._forward_full(layers, x, terms=terms)
@@ -162,10 +162,10 @@ class TestForward:
         assert terms == []
 
 
-def stacked(nets) -> list[tensornet._LayerView]:
+def stacked(nets) -> list[Layer]:
     """The layers of same-shape networks as one stack, as `train_stack` views them."""
     return [
-        tensornet._LayerView(np.stack([l.weights for l in ls]), np.stack([l.biases for l in ls]), ls[0].activation)
+        Layer(np.stack([l.weights for l in ls]), np.stack([l.biases for l in ls]), ls[0].activation)
         for ls in zip(*(net.layers for net in nets))
     ]
 
