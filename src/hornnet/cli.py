@@ -1,8 +1,9 @@
 """Command-line entry point: reproducible batch workflows over the library.
 
-Subcommands: synth, train, evaluate, explain, extract, compare. Every run
-writes a manifest next to its outputs recording the resolved configuration,
-master seed, and input/output digests; re-running the same command with the
+Subcommands: synth, train, evaluate, explain, extract, compare. Each writes
+its outputs into a hidden staging directory; only when it succeeds do they
+move into --out, followed by a manifest recording the resolved configuration,
+master seed, and input/output digests. Re-running the same command with the
 same inputs reproduces the outputs byte for byte.
 
 Flag resolution precedence: explicit flags > HORNNET_<FLAG> environment
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,29 +31,31 @@ from .rulelang import RuleError, parse_rules
 ENV_PREFIX = "HORNNET_"
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict, seed, inputs: list[Path], outputs: list[Path]):
-    # `out` is where results land, not part of what they are; leaving it out
-    # keeps manifests byte-identical across output locations.
+def _publish(stage: Path, out: Path, args: argparse.Namespace, inputs: list[Path]) -> None:
+    """Move the outputs in `stage` into `out`, made if missing, and their manifest
+    last, after removing any earlier one: an `out` without a manifest holds an
+    interrupted move."""
+    outputs = sorted(stage.iterdir())
     manifest = {
         "tool": "hornnet",
         "version": __version__,
-        "command": command,
-        "args": {k: v for k, v in sorted(args.items()) if k not in ("out", "config")},
-        "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {p.name: _sha256(p) for p in outputs},
+        "command": args.command,
+        # `out` is where results land, not part of what they are; leaving it out
+        # keeps manifests byte-identical across output locations.
+        "args": {k: v for k, v in sorted(vars(args).items()) if k not in ("out", "config")},
+        "seed": getattr(args, "seed", None),  # evaluate and extract take no --seed
+        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
+        "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs},
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    _write_json(stage / "manifest.json", manifest)
+    out.mkdir(exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
+    for path in [*outputs, stage / "manifest.json"]:
+        os.replace(path, out / path.name)
 
 
 class _UsageError(Exception):
@@ -195,13 +199,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
-# --------------------------------------------------------------------------
-# Subcommand implementations. Each writes its outputs into `out` and returns
-# the files it read and the files it wrote, which its manifest records; `main`
-# makes `out` and writes the manifest.
-# --------------------------------------------------------------------------
-
-
 def _read_rules(path, data_path, columns, config: kbann.CompileConfig):
     """The rule set in the file at `path` and its net compiled under `config` over
     `columns`, those of the CSV at `data_path`. Text that is not UTF-8, not a valid
@@ -216,7 +213,7 @@ def _read_rules(path, data_path, columns, config: kbann.CompileConfig):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _cmd_synth(args, out: Path) -> tuple[list[Path], list[Path]]:
+def _cmd_synth(args, stage: Path) -> list[Path]:
     config = datakit.SynthConfig(
         n_rows=args.rows,
         n_test=args.test_rows,
@@ -226,14 +223,14 @@ def _cmd_synth(args, out: Path) -> tuple[list[Path], list[Path]]:
         seed=args.seed,
     )
     train, test = datakit.generate_synthetic(config)
-    train_path, test_path = out / "train.csv", out / "test.csv"
-    datakit.save_csv(train, train_path)
-    datakit.save_csv(test, test_path)
-    print(f"wrote {train_path} ({train.n_rows} rows), {test_path} ({test.n_rows} rows)")
-    return [], [train_path, test_path]
+    datakit.save_csv(train, stage / "train.csv")
+    datakit.save_csv(test, stage / "test.csv")
+    out = Path(args.out)
+    print(f"wrote {out / 'train.csv'} ({train.n_rows} rows), {out / 'test.csv'} ({test.n_rows} rows)")
+    return []
 
 
-def _cmd_train(args, out: Path) -> tuple[list[Path], list[Path]]:
+def _cmd_train(args, stage: Path) -> list[Path]:
     if args.omega is not None and not args.rules:
         raise _UsageError("--omega needs a rule file: only the knowledge model (--rules) has a rule weight")
     model_kind = "nsai" if args.rules else "baseline"
@@ -258,9 +255,9 @@ def _cmd_train(args, out: Path) -> tuple[list[Path], list[Path]]:
     )
     net = replace(net, input_bounds=datakit.feature_bounds(data))
     trained, report = tensornet.train(net, data, train_cfg)
-    tensornet.save_network(trained, out / "model.npz")
+    tensornet.save_network(trained, stage / "model.npz")
     _write_json(
-        out / "train_report.json",
+        stage / "train_report.json",
         {
             "model": model_kind,
             "augment": args.augment,
@@ -273,8 +270,8 @@ def _cmd_train(args, out: Path) -> tuple[list[Path], list[Path]]:
             "final_train_loss": report.train_loss_history[-1],
         },
     )
-    print(f"trained {model_kind} model on {data.n_rows} rows -> {out / 'model.npz'}")
-    return inputs, [out / "model.npz", out / "train_report.json"]
+    print(f"trained {model_kind} model on {data.n_rows} rows -> {Path(args.out) / 'model.npz'}")
+    return inputs
 
 
 def _scoring_inputs(args) -> tuple[tensornet.Network, datakit.Dataset]:
@@ -287,31 +284,31 @@ def _scoring_inputs(args) -> tuple[tensornet.Network, datakit.Dataset]:
     return net, datakit._match_columns(datakit.load_csv(args.data), net.input_names, args.data)
 
 
-def _cmd_evaluate(args, out: Path) -> tuple[list[Path], list[Path]]:
+def _cmd_evaluate(args, stage: Path) -> list[Path]:
     net, data = _scoring_inputs(args)
     preds = tensornet.predict_labels(net, data.rows)
     metrics = evalharness.compute_metrics(preds, data.labels, CLASSES)
-    _write_json(out / "metrics.json", evalharness.metrics_to_dict(metrics))
+    _write_json(stage / "metrics.json", evalharness.metrics_to_dict(metrics))
     table = evalharness.render_metrics_table({"model": metrics})
-    (out / "metrics.txt").write_text(table, encoding="utf-8")
+    (stage / "metrics.txt").write_text(table, encoding="utf-8")
     print(table, end="")
-    return [Path(args.model_path), Path(args.data)], [out / "metrics.json", out / "metrics.txt"]
+    return [Path(args.model_path), Path(args.data)]
 
 
-def _cmd_explain(args, out: Path) -> tuple[list[Path], list[Path]]:
+def _cmd_explain(args, stage: Path) -> list[Path]:
     net, data = _scoring_inputs(args)
 
     predict_fn = tensornet.predictor(net)
     global_exp = explain.global_explain(predict_fn, data, n_samples=args.samples, seed=args.seed)
     _write_json(
-        out / "global_explanation.json",
+        stage / "global_explanation.json",
         {
             "mean_signed": global_exp.mean_signed,
             "mean_abs": global_exp.mean_abs,
             "n_instances": global_exp.n_instances,
         },
     )
-    (out / "mispredictions.txt").write_text(
+    (stage / "mispredictions.txt").write_text(
         explain.format_misprediction_table(global_exp.mispredicted), encoding="utf-8"
     )
     structured = [
@@ -325,33 +322,32 @@ def _cmd_explain(args, out: Path) -> tuple[list[Path], list[Path]]:
         }
         for exp in global_exp.mispredicted
     ]
-    _write_json(out / "mispredictions.json", structured)
-    print(f"{len(global_exp.mispredicted)} mispredicted rows explained -> {out}")
-    outputs = [out / name for name in ("global_explanation.json", "mispredictions.txt", "mispredictions.json")]
-    return [Path(args.model_path), Path(args.data)], outputs
+    _write_json(stage / "mispredictions.json", structured)
+    print(f"{len(global_exp.mispredicted)} mispredicted rows explained -> {Path(args.out)}")
+    return [Path(args.model_path), Path(args.data)]
 
 
-def _cmd_extract(args, out: Path) -> tuple[list[Path], list[Path]]:
+def _cmd_extract(args, stage: Path) -> list[Path]:
     net, data = _scoring_inputs(args)
     extracted = kbann.extract_rules(net, data, group_tolerance=args.tolerance)
     text = kbann.format_extracted_rules(extracted)
-    (out / "rules.txt").write_text(text, encoding="utf-8")
-    _write_json(out / "rules.json", kbann.extracted_rules_to_dict(extracted))
+    (stage / "rules.txt").write_text(text, encoding="utf-8")
+    _write_json(stage / "rules.json", kbann.extracted_rules_to_dict(extracted))
     print(text, end="")
-    return [Path(args.model_path), Path(args.data)], [out / "rules.txt", out / "rules.json"]
+    return [Path(args.model_path), Path(args.data)]
 
 
-def _cmd_compare(args, out: Path) -> tuple[list[Path], list[Path]]:
+def _cmd_compare(args, stage: Path) -> list[Path]:
     train_data = datakit.load_csv(args.train_path)
     # run_comparison matches the columns too; here a missing one names the file
     test_data = datakit._match_columns(datakit.load_csv(args.test_path), train_data.feature_names, args.test_path)
     # run_comparison compiles at this default omega, and no compile error depends on the seed
     rules, _ = _read_rules(args.rules, args.train_path, train_data.feature_names, kbann.CompileConfig())
     report = evalharness.run_comparison(train_data, test_data, rules, master_seed=args.seed, cv_folds=args.cv_folds)
-    (out / "report.json").write_text(evalharness.report_to_json(report), encoding="utf-8")
-    (out / "report.txt").write_text(evalharness.render_report_text(report), encoding="utf-8")
+    (stage / "report.json").write_text(evalharness.report_to_json(report), encoding="utf-8")
+    (stage / "report.txt").write_text(evalharness.render_report_text(report), encoding="utf-8")
     print(evalharness.render_metrics_table(report.test_metrics), end="")
-    return [Path(args.train_path), Path(args.test_path), Path(args.rules)], [out / "report.json", out / "report.txt"]
+    return [Path(args.train_path), Path(args.test_path), Path(args.rules)]
 
 
 _COMMANDS = {
@@ -371,10 +367,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _resolve(args, subparsers[args.command], argv[argv.index(args.command) + 1 :])
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        inputs, outputs = _COMMANDS[args.command](args, out)
-        # evaluate and extract take no --seed; their manifests record None
-        _write_manifest(out, args.command, vars(args), getattr(args, "seed", None), inputs, outputs)
+        if not out.is_dir():
+            out.parent.mkdir(parents=True, exist_ok=True)
+            if out.exists():  # a file: fail before the command runs, as mkdir would
+                out.mkdir()
+        with tempfile.TemporaryDirectory(prefix=".hornnet-", dir=out if out.is_dir() else out.parent) as tmp:
+            stage = Path(tmp)  # a command writes here and returns the files it read
+            _publish(stage, out, args, _COMMANDS[args.command](args, stage))
     except SystemExit as exc:  # --help or --version
         return int(exc.code or 0)
     except _UsageError as exc:

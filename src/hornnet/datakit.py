@@ -10,6 +10,7 @@ import csv
 import io
 import logging
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,8 +120,8 @@ class Dataset:
         return self.rows.shape[1]
 
     def class_counts(self) -> dict[str, int]:
-        values, counts = np.unique(self.labels, return_counts=True)
-        return dict(zip(values.tolist(), counts.tolist()))
+        # counted as Python strings: np.unique would sort the object array first
+        return dict(sorted(Counter(self.labels.tolist()).items()))
 
     def column(self, name: str) -> np.ndarray:
         try:

@@ -117,7 +117,7 @@ class TestTrain:
         capsys.readouterr()
         assert main(["train", "--data", str(synth_dir / "train.csv"), "--model", "nsai", "--out", str(tmp_path / "m")]) == 2
         assert capsys.readouterr().err == "hornnet: error: unrecognized arguments: --model nsai\n"
-        assert not (tmp_path / "m" / "manifest.json").exists()
+        assert not (tmp_path / "m").exists()
         assert main(["train", "--help"]) == 0
         assert "--model" not in capsys.readouterr().out
 
@@ -377,7 +377,7 @@ class TestScoringInputs:
             capsys.readouterr()
             assert main(argv + ["--out", str(tmp_path / argv[0])]) == 1
             assert capsys.readouterr().err == f"hornnet: error: {path}: duplicate column name(s): Loop\n"
-            assert not (tmp_path / argv[0] / "manifest.json").exists()
+            assert not (tmp_path / argv[0]).exists()
 
     def test_explain_on_constant_rows_is_runtime_error(self, tmp_path, synth_dir, nsai, capsys):
         data = datakit.load_csv(synth_dir / "test.csv")
@@ -388,7 +388,7 @@ class TestScoringInputs:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("hornnet: error: every feature is constant") and err.count("\n") == 1
-        assert not (tmp_path / "x" / "manifest.json").exists()
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("outputs", [("Pass", "Fail"), ("High", "Low")], ids=["renamed", "reversed"])
     @pytest.mark.parametrize("command", ["evaluate", "explain", "extract"])
@@ -400,7 +400,7 @@ class TestScoringInputs:
         argv = [command, "--model", str(path), "--data", str(synth_dir / "test.csv"), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"hornnet: error: {path}: model outputs {', '.join(outputs)} are not Low, High\n"
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert not (tmp_path / "o").exists()
 
 
 class TestByteOrderMark:
@@ -439,12 +439,12 @@ class TestByteOrderMark:
 
 class TestInputErrors:
     """A bad CSV or rule file is one error line that names it, with exit code 1
-    and no manifest."""
+    and no --out directory."""
 
     def run(self, tmp_path, capsys, argv) -> str:
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert not (tmp_path / "o").exists()
         return capsys.readouterr().err
 
     @pytest.fixture
@@ -608,7 +608,101 @@ class TestCompare:
         argv = ["compare", "--train", str(synth_dir / "train.csv"), "--test", str(path), "--rules", str(rules_file)]
         assert main(argv + ["--out", str(tmp_path / "c")]) == 1
         assert capsys.readouterr().err == f"hornnet: error: {path}: missing feature column(s) the model needs: Loop\n"
-        assert not (tmp_path / "c" / "manifest.json").exists()
+        assert not (tmp_path / "c").exists()
+
+
+class TestAllOrNothing:
+    """A command writes all of its outputs into --out or none: one that fails
+    leaves --out absent, or as an earlier run left it, and no staging directory."""
+
+    # the call that fails in each command, after its first output is written:
+    # (module, attribute, which call)
+    FAILING_CALL = {
+        "synth": (datakit, "save_csv", 2),
+        "train": (cli, "_write_json", 1),
+        "evaluate": (evalharness, "render_metrics_table", 1),
+        "explain": (explain, "format_misprediction_table", 1),
+        "extract": (cli, "_write_json", 1),
+        "compare": (evalharness, "render_report_text", 1),
+    }
+
+    @pytest.fixture
+    def argvs(self, tmp_path, synth_dir, rules_file) -> dict:
+        model = tmp_path / "model"
+        train = ["train", "--data", str(synth_dir / "train.csv"), "--max-epochs", "3"]
+        assert main(train + ["--rules", str(rules_file), "--out", str(model)]) == 0
+        scoring = ["--model", str(model / "model.npz"), "--data", str(synth_dir / "test.csv")]
+        return {
+            "synth": ["synth", "--rows", "40", "--test-rows", "20"],
+            "train": train,
+            "evaluate": ["evaluate", *scoring],
+            "explain": ["explain", *scoring, "--samples", "60"],
+            "extract": ["extract", *scoring],
+            "compare": ["compare", "--train", str(synth_dir / "train.csv"), "--test", str(synth_dir / "test.csv"),
+                        "--rules", str(rules_file), "--cv-folds", "2"],
+        }
+
+    @staticmethod
+    def staged(*dirs: Path) -> list[Path]:
+        return [p for d in dirs if d.is_dir() for p in d.glob(".hornnet-*")]
+
+    @pytest.mark.parametrize("command", list(FAILING_CALL))
+    def test_failure_after_first_write(self, tmp_path, monkeypatch, capsys, argvs, command):
+        argv = argvs[command]
+        earlier, fresh = tmp_path / "earlier", tmp_path / "fresh"
+        assert main(argv + ["--out", str(earlier)]) == 0
+        before = digest_dir(earlier), sorted(p.name for p in earlier.iterdir())
+        module, attr, nth = self.FAILING_CALL[command]
+        real, calls, written = getattr(module, attr), [], []
+
+        def failing(*args, **kwargs):
+            calls.append(attr)
+            if len(calls) == nth:
+                written.extend(p.name for d in self.staged(tmp_path, earlier) for p in d.iterdir())
+                raise OSError("injected failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, failing)
+        for out in (fresh, earlier):
+            calls.clear()
+            written.clear()
+            capsys.readouterr()
+            assert main(argv + ["--out", str(out)]) == 1
+            assert capsys.readouterr().err == "hornnet: error: injected failure\n"
+            assert written, "the failure came before any output was written"
+            assert self.staged(tmp_path, earlier) == []
+        assert not fresh.exists()
+        assert (digest_dir(earlier), sorted(p.name for p in earlier.iterdir())) == before
+
+    @pytest.mark.parametrize("command", list(FAILING_CALL))
+    def test_missing_input_leaves_no_out(self, tmp_path, capsys, argvs, command):
+        missing = str(tmp_path / "nothere")
+        argv = argvs[command]
+        # synth reads no input but a config file
+        argv = argv + ["--config", missing] if command == "synth" else [missing if "/" in a else a for a in argv]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert self.staged(tmp_path) == []
+
+    def test_out_naming_a_file_fails_before_the_command(self, tmp_path, monkeypatch, capsys):
+        def no_synth(*args, **kwargs):
+            raise AssertionError("datakit.generate_synthetic called")
+
+        monkeypatch.setattr(datakit, "generate_synthetic", no_synth)
+        path = tmp_path / "file"
+        path.write_text("kept\n")
+        assert main(["synth", "--out", str(path)]) == 1
+        assert capsys.readouterr().err == f"hornnet: error: [Errno 17] File exists: '{path}'\n"
+        assert path.read_text() == "kept\n"
+        assert self.staged(tmp_path) == []
+
+    def test_new_out_gets_mkdir_mode(self, tmp_path):
+        (tmp_path / "plain").mkdir()
+        assert main(["synth", "--rows", "20", "--test-rows", "10", "--out", str(tmp_path / "a" / "out")]) == 0
+        for made in (tmp_path / "a", tmp_path / "a" / "out"):
+            assert made.stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 class TestFlagResolution:
@@ -741,7 +835,7 @@ class TestFlagResolution:
         err = capsys.readouterr().err
         assert err.startswith("hornnet: error: ") and err.count("\n") == 1
         assert "_positive_int" not in err
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_null_config_values_read_as_text(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

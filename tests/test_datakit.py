@@ -41,6 +41,14 @@ class TestLoadCsv:
         assert data.n_rows == 3
         assert list(data.labels) == ["High", "Low", "High"]
 
+    def test_class_counts_sorted_by_label(self, tmp_path):
+        # sorted by class name, not by first appearance; str keys, int values
+        p = tmp_path / "d.csv"
+        p.write_text("a,Final_score\n1,Low\n2,High\n3,Low\n")
+        counts = load_csv(p).class_counts()
+        assert list(counts.items()) == [("High", 1), ("Low", 2)]
+        assert [type(v) for kv in counts.items() for v in kv] == [str, int, str, int]
+
     def test_label_aliases(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,Final_score\n1,True\n2,False\n3,high\n4,LOW\n")
